@@ -9,6 +9,7 @@ let () =
       ("rod", Test_rod.suite);
       ("baselines", Test_baselines.suite);
       ("sim", Test_sim.suite);
+      ("engine_golden", Test_engine_golden.suite);
       ("integration", Test_integration.suite);
       ("dynamic", Test_dynamic.suite);
       ("dynamic_props", Test_dynamic_props.suite);
