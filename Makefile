@@ -1,4 +1,4 @@
-.PHONY: all build test bench examples clean check bench-quick bench-ladder benchdiff chaos-quick keyed lint rodscan rodproto rodunits promcheck sarif
+.PHONY: all build test bench examples clean check bench-quick bench-ladder benchdiff chaos-quick keyed lint rodscan rodproto rodunits promcheck sarif perfbench
 
 all: build
 
@@ -94,6 +94,15 @@ bench-ladder:
 # on a shared box.
 benchdiff:
 	dune exec tools/benchdiff/benchdiff.exe -- BENCH_rod.json
+
+# The end-to-end benchmark (perfbench/, declared in BENCHMARK.json): one
+# untraced run of workload W (plan-batch, sim-drift or spe-monitoring).
+# The last line of output is the JSON result.
+W ?= sim-drift
+SEED ?= 1
+SECONDS ?= 30
+perfbench:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace 0
 
 examples:
 	dune exec examples/quickstart.exe

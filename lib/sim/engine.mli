@@ -102,6 +102,11 @@ val run :
   Sim_metrics.t
 (* rodunits: until:sim-sec -> _ *)
 (** Simulate the placed graph fed by per-input-stream arrival timestamp
-    lists (ascending, as produced by {!Workload.Generators}), up to
-    absolute time [until].  Work still queued at [until] is reported as
-    backlog. *)
+    lists, up to absolute time [until].  The lists may come in any order
+    (e.g. ascending, as produced by {!Workload.Generators}): each is
+    stable-sorted, so equal times keep list order, and at one instant
+    arrivals come before every other event, ordered by stream index and
+    then list position.  Work still queued at [until] is reported as
+    backlog.
+    @raise Invalid_argument naming the stream and list index of an
+    arrival time that is not finite or is negative. *)

@@ -1,82 +1,85 @@
-type 'a entry = {
-  time : float;
-  seq : int;
-  payload : 'a;
-}
+(* A binary min-heap over three parallel arrays: slot [i] holds the
+   event [(times.(i), seqs.(i), payloads.(i))].  Pushing and taking move
+   a hole instead of swapping, so neither allocates outside growth. *)
 
 type 'a t = {
-  mutable heap : 'a entry array;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable payloads : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create () = { times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
 
 let is_empty q = q.size = 0
 
 let length q = q.size
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let top_time q = if q.size = 0 then infinity else q.times.(0)
 
-let swap q i j =
-  let tmp = q.heap.(i) in
-  q.heap.(i) <- q.heap.(j);
-  q.heap.(j) <- tmp
+(* [filler] initialises the fresh payload slots; it is the payload about
+   to be pushed, so no dummy value of type ['a] is needed. *)
+let grow q filler =
+  let capacity = max 16 (2 * q.size) in
+  let times = Array.make capacity 0. and seqs = Array.make capacity 0 in
+  let payloads = Array.make capacity filler in
+  Array.blit q.times 0 times 0 q.size;
+  Array.blit q.seqs 0 seqs 0 q.size;
+  Array.blit q.payloads 0 payloads 0 q.size;
+  q.times <- times;
+  q.seqs <- seqs;
+  q.payloads <- payloads
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before q.heap.(i) q.heap.(parent) then begin
-      swap q i parent;
-      sift_up q parent
-    end
-  end
-
-let rec sift_down q i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < q.size && before q.heap.(left) q.heap.(!smallest) then
-    smallest := left;
-  if right < q.size && before q.heap.(right) q.heap.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
-  end
-
-let grow q =
-  let capacity = Array.length q.heap in
-  let fresh = max 16 (2 * capacity) in
-  if capacity < fresh then begin
-    let bigger = Array.make fresh q.heap.(0) in
-    Array.blit q.heap 0 bigger 0 q.size;
-    q.heap <- bigger
-  end
+let move q ~src ~dst =
+  q.times.(dst) <- q.times.(src);
+  q.seqs.(dst) <- q.seqs.(src);
+  q.payloads.(dst) <- q.payloads.(src)
 
 let push q ~time payload =
-  let entry = { time; seq = q.next_seq; payload } in
-  q.next_seq <- q.next_seq + 1;
-  if q.size = 0 then begin
-    q.heap <- Array.make (max 16 (Array.length q.heap)) entry;
-    q.size <- 1
-  end
-  else begin
-    if q.size = Array.length q.heap then grow q;
-    q.heap.(q.size) <- entry;
-    q.size <- q.size + 1;
-    sift_up q (q.size - 1)
-  end
+  if q.size = Array.length q.times then grow q payload;
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  (* The new event has the largest sequence number, so it rises past a
+     parent only when its time is strictly earlier. *)
+  let hole = ref q.size in
+  q.size <- q.size + 1;
+  while !hole > 0 && time < q.times.((!hole - 1) / 2) do
+    let parent = (!hole - 1) / 2 in
+    move q ~src:parent ~dst:!hole;
+    hole := parent
+  done;
+  q.times.(!hole) <- time;
+  q.seqs.(!hole) <- seq;
+  q.payloads.(!hole) <- payload
 
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q 0
-    end;
-    Some (top.time, top.payload)
-  end
+(* Slot [i] comes before slot [j] in [(time, seq)] order. *)
+let before q i j =
+  let ti = q.times.(i) and tj = q.times.(j) in
+  ti < tj || (ti = tj && q.seqs.(i) < q.seqs.(j))
 
-let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
+let take q =
+  if q.size = 0 then invalid_arg "Event_queue.take: empty queue";
+  let top = q.payloads.(0) in
+  let last = q.size - 1 in
+  q.size <- last;
+  if last > 0 then begin
+    (* Sift the last event down from the root. *)
+    let hole = ref 0 and sinking = ref true in
+    while !sinking do
+      let left = (2 * !hole) + 1 in
+      if left >= last then sinking := false
+      else begin
+        let child =
+          if left + 1 < last && before q (left + 1) left then left + 1 else left
+        in
+        if before q child last then begin
+          move q ~src:child ~dst:!hole;
+          hole := child
+        end
+        else sinking := false
+      end
+    done;
+    move q ~src:last ~dst:!hole
+  end;
+  top

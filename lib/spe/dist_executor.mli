@@ -80,7 +80,12 @@ val run :
   until:float ->
   unit ->
   result
-(** Tuples arrive at their own timestamps (ascending per stream).
+(** Tuples arrive at their own timestamps.  A stream's list may come in
+    any order: it is stable-sorted by timestamp, so equal timestamps keep
+    list order, and at one instant arrivals come before every other
+    event, ordered by stream index and then list position.  A timestamp
+    that is not finite or is negative raises [Invalid_argument] naming
+    its stream and list index.
     [cost op input_idx] is CPU seconds per tuple (per candidate pair
     for joins).  Open aggregate windows at [until] are counted as
     backlog state, not flushed.

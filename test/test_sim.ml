@@ -19,14 +19,9 @@ let test_event_queue_ordering () =
   Event_queue.push q ~time:2. "b";
   Event_queue.push q ~time:1. "a2";
   let order = ref [] in
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, x) ->
-      order := x :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Event_queue.is_empty q) do
+    order := Event_queue.take q :: !order
+  done;
   Alcotest.(check (list string)) "time then insertion order"
     [ "a"; "a2"; "b"; "c" ] (List.rev !order);
   Alcotest.(check bool) "empty after drain" true (Event_queue.is_empty q)
@@ -40,18 +35,60 @@ let test_event_queue_many () =
   let last = ref neg_infinity in
   let sorted = ref true in
   let count = ref 0 in
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (t, _) ->
-      if t < !last then sorted := false;
-      last := t;
-      incr count;
-      drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Event_queue.is_empty q) do
+    let t = Event_queue.top_time q in
+    ignore (Event_queue.take q);
+    if t < !last then sorted := false;
+    last := t;
+    incr count
+  done;
   Alcotest.(check bool) "nondecreasing" true !sorted;
   Alcotest.(check int) "all popped" 1000 !count
+
+(* Random interleavings of [push] and [take] over heavily duplicated
+   times come out in (time, insertion) order: every [take] returns the
+   first element of a stable sort of the events pushed and not yet
+   taken. *)
+let prop_event_queue_stable_order =
+  QCheck.Test.make ~count:300 ~name:"event queue: (time, insertion) order"
+    QCheck.(list (option (int_bound 4)))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let pending = ref [] (* (time, id), in insertion order *) in
+      let next_id = ref 0 in
+      let take_ok () =
+        match
+          List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !pending
+        with
+        | [] -> true
+        | ((t, id) as first) :: _ ->
+          let top = Event_queue.top_time q in
+          let got = Event_queue.take q in
+          pending := List.filter (fun e -> e != first) !pending;
+          top = t && got = id
+      in
+      List.for_all
+        (function
+          | Some slot ->
+            let time = float_of_int slot /. 2. in
+            Event_queue.push q ~time !next_id;
+            pending := !pending @ [ (time, !next_id) ];
+            incr next_id;
+            true
+          | None -> take_ok ())
+        ops
+      && List.for_all (fun _ -> take_ok ()) !pending
+      && Event_queue.is_empty q
+      && Event_queue.length q = 0)
+
+let test_event_queue_empty () =
+  let q : int Event_queue.t = Event_queue.create () in
+  Alcotest.(check (float 0.)) "top_time of empty" infinity (Event_queue.top_time q);
+  Alcotest.check_raises "take on empty" (Invalid_argument "Event_queue.take: empty queue")
+    (fun () -> ignore (Event_queue.take q));
+  Event_queue.push q ~time:1. 7;
+  Alcotest.(check int) "one event" 7 (Event_queue.take q);
+  Alcotest.(check (float 0.)) "empty again" infinity (Event_queue.top_time q)
 
 (* One operator of cost c at rate r: utilization = c*r, latency = c at
    low load (deterministic arrivals never queue). *)
@@ -271,6 +308,26 @@ let test_probe_agrees_with_analysis () =
   Alcotest.(check bool) "exterior point simulates infeasible" false
     v2.Probe.feasible
 
+(* Arrival times are checked at the edge: a NaN, infinite or negative
+   time is rejected with the stream and list index that hold it. *)
+let test_rejects_bad_arrival_times () =
+  let graph = single_op_graph 0.002 1. in
+  let run times =
+    Engine.run ~graph ~assignment:[| 0 |] ~caps:(Vec.of_list [ 1. ])
+      ~arrivals:[| times |] ~until:10. ()
+  in
+  List.iter
+    (fun (bad, shown) ->
+      Alcotest.check_raises (Printf.sprintf "time %s" shown)
+        (Invalid_argument
+           (Printf.sprintf
+              "Engine.run: stream 0 arrival 2 has time %s (must be finite and >= 0)" shown))
+        (fun () -> ignore (run [ 1.; 0.5; bad ])))
+    [ (Float.nan, "nan"); (Float.infinity, "inf"); (-1., "-1") ];
+  (* Any order is accepted. *)
+  let m = run [ 3.; 1.; 2.; 1. ] in
+  Alcotest.(check int) "unsorted arrivals all processed" 4 m.Sim_metrics.items_processed
+
 let test_simulate_traces () =
   let graph = Query.Builder.chain ~n_ops:2 ~cost:0.001 ~sel:1. () in
   let trace = Trace.create ~dt:1. (Array.make 10 50.) in
@@ -307,6 +364,8 @@ let suite =
   [
     Alcotest.test_case "event queue ordering" `Quick test_event_queue_ordering;
     Alcotest.test_case "event queue stress" `Quick test_event_queue_many;
+    Alcotest.test_case "event queue empty" `Quick test_event_queue_empty;
+    QCheck_alcotest.to_alcotest prop_event_queue_stable_order;
     Alcotest.test_case "single-op utilization" `Quick test_single_op_utilization;
     Alcotest.test_case "capacity scales service" `Quick test_capacity_scales_service;
     Alcotest.test_case "selectivity thins output" `Quick test_selectivity_thins_output;
@@ -321,5 +380,6 @@ let suite =
       test_load_shedding_bounds_latency;
     Alcotest.test_case "probe agrees with analysis" `Slow test_probe_agrees_with_analysis;
     Alcotest.test_case "simulate traces" `Quick test_simulate_traces;
+    Alcotest.test_case "bad arrival times rejected" `Quick test_rejects_bad_arrival_times;
     QCheck_alcotest.to_alcotest prop_conservation_single_op;
   ]

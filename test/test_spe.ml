@@ -462,6 +462,46 @@ let test_dist_executor_matches_logical () =
         (List.exists (fun (_, t') -> Tuple.equal t t') dist_outputs))
     logical_outputs
 
+(* Tuple timestamps are checked at the edge: a NaN, infinite or
+   negative timestamp is rejected with the stream and list index that
+   hold it. *)
+let test_dist_executor_rejects_bad_timestamps () =
+  let network =
+    Network.create ~n_inputs:2
+      ~ops:[ (Sop.union ~arity:2 (), [ Graph.Sys_input 0; Graph.Sys_input 1 ]) ]
+      ()
+  in
+  let run second =
+    Spe.Dist_executor.run ~network ~assignment:[| 0 |]
+      ~caps:(Linalg.Vec.of_list [ 1. ])
+      ~cost:(fun _ _ -> 1e-3)
+      ~inputs:[| [ packet ~ts:1. ~bytes:1 ~proto:"tcp" ]; second |]
+      ~until:10. ()
+  in
+  List.iter
+    (fun (bad, shown) ->
+      Alcotest.check_raises (Printf.sprintf "timestamp %s" shown)
+        (Invalid_argument
+           (Printf.sprintf
+              "Dist_executor.run: stream 1 arrival 1 has time %s (must be finite and >= 0)"
+              shown))
+        (fun () ->
+          ignore
+            (run
+               [ packet ~ts:2. ~bytes:1 ~proto:"tcp"; packet ~ts:bad ~bytes:1 ~proto:"tcp" ])))
+    [ (Float.nan, "nan"); (Float.neg_infinity, "-inf"); (-0.5, "-0.5") ];
+  (* Any order is accepted; equal timestamps keep list order. *)
+  let r =
+    run
+      [
+        packet ~ts:3. ~bytes:1 ~proto:"a";
+        packet ~ts:1. ~bytes:2 ~proto:"b";
+        packet ~ts:1. ~bytes:3 ~proto:"c";
+      ]
+  in
+  Alcotest.(check (list int)) "sink order" [ 1; 2; 3; 1 ]
+    (List.map (fun (_, t) -> Value.to_int (Tuple.find t "bytes")) r.Spe.Dist_executor.outputs)
+
 let test_dist_executor_utilization () =
   (* One filter of known cost at a known rate: utilization = cost*rate. *)
   let network =
@@ -686,6 +726,8 @@ let suite =
       test_dist_executor_matches_logical;
     Alcotest.test_case "dist executor utilization" `Quick
       test_dist_executor_utilization;
+    Alcotest.test_case "dist executor rejects bad timestamps" `Quick
+      test_dist_executor_rejects_bad_timestamps;
     Alcotest.test_case "dist executor join costing" `Quick
       test_dist_executor_join_pair_costing;
     Alcotest.test_case "datagen" `Quick test_datagen;
