@@ -45,6 +45,11 @@ type outcome = {
    provably cannot flip ([violations >= 2] for relocations,
    [violations >= 3] for swaps).
 
+   The samples with 1 <= v <= 2 are the only ones a relocation bound or
+   a swap can turn feasible, and they are few; [near] lists them in
+   ascending order.  [shift] only marks the list stale, and the next
+   read rebuilds it in one sequential scan, outside any pool task.
+
    The sample dimension is sharded across the pool for the mutating
    [shift] path and the fused relocation kernel: per-sample state lines
    are touched by exactly one chunk, and every reduction is a sum of
@@ -56,23 +61,28 @@ type scorer = {
   samples : int;
   n_nodes : int;
   pool : Pool.t;
-  loads : float array array;  (* op -> sample -> load contribution (>= 0) *)
+  loads : float array array;
+      (* op -> sample -> load contribution (>= 0); the problem's shared
+         table, never written *)
   node_load : float array array;  (* node -> sample *)
   violations : int array;  (* sample -> number of saturated nodes *)
   caps : Vec.t;
   assignment : int array;  (* shared with the caller; current homes *)
   mutable feasible : int;
+  near : int array;  (* samples with 1 <= violations <= 2, ascending *)
+  mutable near_len : int;
+  mutable near_stale : bool;
   (* Fused-kernel scratch, preallocated so the steady state allocates
      nothing: chunk [c] of the relocation kernel writes only
      [gain_chunks.(c)]; the reduced per-node gains land in [gains]. *)
   gain_chunks : int array array;
   gains : int array;
   (* Swap-batch scratch for one (j1, current state) preparation: the
-     home-row subtraction shared across every partner j2, the violation
-     delta of j1's removal, and the (typically tiny) list of samples
-     where a swap could possibly gain feasibility. *)
-  swap_a1 : float array;  (* sample -> node_load(a) -. loads(j1) *)
-  swap_t1 : int array;  (* sample -> violation delta of removing j1 *)
+     (typically tiny) list of samples where a swap could possibly gain
+     feasibility, and per entry the home-row subtraction and the
+     violation delta of j1's removal, shared across every partner j2. *)
+  swap_a1 : float array;  (* entry -> node_load(a) -. loads(j1) *)
+  swap_t1 : int array;  (* entry -> violation delta of removing j1 *)
   swap_pos : int array;  (* candidate-gain sample indices *)
   mutable swap_pos_len : int;
 }
@@ -89,30 +99,36 @@ let make_scorer ?pool problem assignment samples =
   let c_total = Problem.total_capacity problem in
   let dim = Problem.dim problem in
   let lo = problem.Problem.lo in
-  let loads = Array.init m (fun _ -> Array.make samples 0.) in
-  (* One fused pass per sample chunk: generate the QMC rate point into
-     per-chunk scratch (hoisted out of the loop body) and immediately
-     fold it into every operator's per-sample load contribution — the
-     samples x dim point table is never materialized.  The dot product
-     accumulates left-to-right exactly like [Mat.dot_rows], so the load
-     table is bit-identical to the former build-points-then-dot form. *)
-  Pool.parallel_for pool ~n:samples (fun lo_s hi_s ->
-      let cube = Array.make dim 0. in
-      let point = Array.make dim 0. in
-      let acc = ref 0. in
-      for s = lo_s to hi_s - 1 do
-        Feasible.Halton.point_into cube s;
-        Feasible.Simplex.sample_ideal_into ~l ~c_total ~cube_point:cube
-          ~scratch:cube point;
-        for j = 0 to m - 1 do
-          let row = lo.(j) in
-          acc := 0.;
-          for k = 0 to dim - 1 do
-            acc := !acc +. (row.(k) *. point.(k))
-          done;
-          loads.(j).(s) <- !acc
-        done
-      done);
+  (* Built once per problem and sample count, then shared by every
+     scorer on that problem.  One fused pass per sample chunk: generate
+     the QMC rate point into per-chunk scratch (hoisted out of the loop
+     body) and immediately fold it into every operator's per-sample load
+     contribution — the samples x dim point table is never
+     materialized.  The dot product accumulates left-to-right exactly
+     like [Mat.dot_rows], so the load table is bit-identical to the
+     former build-points-then-dot form. *)
+  let loads =
+    Problem.sample_loads problem ~samples (fun () ->
+        let loads = Array.init m (fun _ -> Array.make samples 0.) in
+        Pool.parallel_for pool ~n:samples (fun lo_s hi_s ->
+            let cube = Array.make dim 0. in
+            let point = Array.make dim 0. in
+            let acc = ref 0. in
+            for s = lo_s to hi_s - 1 do
+              Feasible.Halton.point_into cube s;
+              Feasible.Simplex.sample_ideal_into ~l ~c_total ~cube_point:cube
+                ~scratch:cube point;
+              for j = 0 to m - 1 do
+                let row = lo.(j) in
+                acc := 0.;
+                for k = 0 to dim - 1 do
+                  acc := !acc +. (row.(k) *. point.(k))
+                done;
+                loads.(j).(s) <- !acc
+              done
+            done);
+        loads)
+  in
   let node_load = Array.init n (fun _ -> Array.make samples 0.) in
   let caps = problem.Problem.caps in
   let violations = Array.make samples 0 in
@@ -146,6 +162,9 @@ let make_scorer ?pool problem assignment samples =
     caps;
     assignment;
     feasible;
+    near = Array.make samples 0;
+    near_len = 0;
+    near_stale = true;
     gain_chunks = Array.init ways (fun _ -> Array.make n 0);
     gains = Array.make n 0;
     swap_a1 = Array.make samples 0.;
@@ -181,7 +200,24 @@ let shift scorer j i sign =
         done;
         !delta)
   in
-  scorer.feasible <- scorer.feasible + delta
+  scorer.feasible <- scorer.feasible + delta;
+  scorer.near_stale <- true
+
+(* Rebuild the near-feasible list if a [shift] made it stale. *)
+let refresh_near scorer =
+  if scorer.near_stale then begin
+    let violations = scorer.violations and near = scorer.near in
+    let len = ref 0 in
+    for s = 0 to scorer.samples - 1 do
+      let v = violations.(s) in
+      if v >= 1 && v <= 2 then begin
+        near.(!len) <- s;
+        incr len
+      end
+    done;
+    scorer.near_len <- !len;
+    scorer.near_stale <- false
+  end
 
 let move scorer j ~from_node ~to_node =
   shift scorer j from_node (-1.);
@@ -306,8 +342,11 @@ let relocation_positive_bound scorer j =
   let row = scorer.node_load.(home) and contrib = scorer.loads.(j) in
   let cap = scorer.caps.(home) in
   let violations = scorer.violations in
+  refresh_near scorer;
+  let near = scorer.near in
   let count = ref 0 in
-  for s = 0 to scorer.samples - 1 do
+  for k = 0 to scorer.near_len - 1 do
+    let s = near.(k) in
     if violations.(s) = 1 then begin
       let h = row.(s) in
       if h > cap && h -. contrib.(s) <= cap then incr count
@@ -380,15 +419,16 @@ let relocation_gains scorer j =
   done;
   gains
 
-(* Prepare the swap batch for [j1] against the current state: cache the
+(* Prepare the swap batch for [j1] against the current state: collect
+   the samples where a swap could possibly gain feasibility, with the
    home-row subtraction [node_load(a) -. c1] and its violation delta
-   per sample (shared by every partner j2), and collect the samples
-   where a swap could possibly gain feasibility.  A sample with
-   violation count v can only reach v' = 0 if v + t1 <= 1, because the
-   only remaining decrement in the four-step simulation is j2's removal
-   from b; with nonnegative contributions v = 0 samples can only lose.
-   The resulting candidate list is usually tiny, which is what makes
-   the quadratic swap sweep affordable. *)
+   for each (shared by every partner j2).  A sample with violation
+   count v can only reach v' = 0 if v + t1 <= 1, because the only
+   remaining decrement in the four-step simulation is j2's removal
+   from b; with nonnegative contributions v = 0 samples can only lose,
+   so only the near-feasible list is scanned.  The resulting candidate
+   list is usually tiny, which is what makes the quadratic swap sweep
+   affordable. *)
 let swap_prepare scorer j1 =
   let a = scorer.assignment.(j1) in
   let row_a = scorer.node_load.(a) and c1 = scorer.loads.(j1) in
@@ -396,16 +436,18 @@ let swap_prepare scorer j1 =
   let violations = scorer.violations in
   let a1s = scorer.swap_a1 and t1s = scorer.swap_t1 in
   let pos = scorer.swap_pos in
+  refresh_near scorer;
+  let near = scorer.near in
   let len = ref 0 in
-  for s = 0 to scorer.samples - 1 do
+  for k = 0 to scorer.near_len - 1 do
+    let s = near.(k) in
     let a0 = row_a.(s) in
     let a1 = a0 -. c1.(s) in
     let t1 = if a0 > cap_a && a1 <= cap_a then -1 else 0 in
-    a1s.(s) <- a1;
-    t1s.(s) <- t1;
-    let v = violations.(s) in
-    if v >= 1 && v <= 2 && v + t1 <= 1 then begin
+    if violations.(s) + t1 <= 1 then begin
       pos.(!len) <- s;
+      a1s.(!len) <- a1;
+      t1s.(!len) <- t1;
       incr len
     end
   done;
@@ -420,7 +462,7 @@ let swap_prepare scorer j1 =
    fraction of the work.  [swap_prepare scorer j1] must be current. *)
 let swap_try scorer j1 j2 =
   let a = scorer.assignment.(j1) and b = scorer.assignment.(j2) in
-  let row_b = scorer.node_load.(b) in
+  let row_a = scorer.node_load.(a) and row_b = scorer.node_load.(b) in
   let c1 = scorer.loads.(j1) and c2 = scorer.loads.(j2) in
   let cap_a = scorer.caps.(a) and cap_b = scorer.caps.(b) in
   let violations = scorer.violations in
@@ -436,10 +478,10 @@ let swap_try scorer j1 j2 =
     let t2 = if b0 <= cap_b && b1 > cap_b then 1 else 0 in
     let b2 = b1 -. cb in
     let t3 = if b1 > cap_b && b2 <= cap_b then -1 else 0 in
-    let a1 = a1s.(s) in
+    let a1 = a1s.(k) in
     let a2 = a1 +. cb in
     let t4 = if a1 <= cap_a && a2 > cap_a then 1 else 0 in
-    if v + t1s.(s) + t2 + t3 + t4 = 0 then incr pos
+    if v + t1s.(k) + t2 + t3 + t4 = 0 then incr pos
   done;
   if !pos = 0 then false
   else begin
@@ -458,7 +500,7 @@ let swap_try scorer j1 j2 =
         let t2 = if b1 > cap_b then 1 else 0 in
         let b2 = b1 -. cb in
         let t3 = if b1 > cap_b && b2 <= cap_b then -1 else 0 in
-        let a1 = a1s.(!s) in
+        let a1 = row_a.(!s) -. c1.(!s) in
         let a2 = a1 +. cb in
         let t4 = if a2 > cap_a then 1 else 0 in
         if t2 + t3 + t4 <> 0 then incr neg

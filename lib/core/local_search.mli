@@ -21,12 +21,19 @@
     under a swap (load contributions are nonnegative by the
     {!Problem.t} invariants), which is what the skip index exploits.
 
-    Complexity: a relocation sweep is [O(m * (samples + active * n))]
-    where [active] counts samples with [v <= 1]; swap sweeps are
-    [O(m * samples + m^2 * candidates)] with [candidates] the usually
-    tiny per-batch gain-candidate list, and run only when relocations
-    are exhausted.  The search ends after a pass that finds no
-    improving move. *)
+    The scorer keeps the near-feasible samples ([1 <= v <= 2]) in an
+    index that an applied move marks stale and the next read rebuilds
+    in one [O(samples)] scan; the relocation bound and the swap batch
+    preparation only read that index.
+
+    Complexity: a relocation sweep is [O(m * near + k * (samples +
+    active * n))] where [near] counts near-feasible samples, [k] the
+    operators whose bound is positive, and [active] samples with
+    [v <= 1]; swap sweeps are [O(m * near + m^2 * candidates)] with
+    [candidates] the usually tiny per-batch gain-candidate list, and
+    run only when relocations are exhausted.  Each applied move costs
+    [O(samples)] for the two shifts and the index rebuild.  The search
+    ends after a pass that finds no improving move. *)
 
 type outcome = {
   assignment : int array;
@@ -51,9 +58,14 @@ val make_scorer :
     given starting assignment.  The array is {e shared}, not copied:
     the scorer reads it to resolve an operator's current node, so a
     caller applying {!move} must update the same array accordingly
-    ({!improve} does).  The sample table is generated in one fused pass
-    (the QMC points are never materialized).  Defaults to the global
-    pool. *)
+    ({!improve} does).  The per-operator load table on the QMC sample
+    is generated in one fused pass (the QMC points are never
+    materialized) by the first scorer on [problem] with this sample
+    count, and shared read-only by every later one through
+    {!Problem.sample_loads}: {!improve}, both attempts of a replan and
+    every later controller decision on the same problem skip the
+    build.  The per-node loads and violation counts are the scorer's
+    own.  Defaults to the global pool. *)
 
 val feasible : scorer -> int
 (** Number of feasible samples under the current state. *)
@@ -87,7 +99,9 @@ val relocation_positive_bound : scorer -> int -> int
 (** Upper bound on [Array.fold_left max 0 (relocation_gains scorer j)]:
     the number of samples whose feasibility could possibly flip to
     feasible under any relocation of [j].  [0] proves no improving
-    target exists, letting sweeps skip the kernel entirely. *)
+    target exists, letting sweeps skip the kernel entirely.  Scans
+    only the near-feasible index, rebuilding it first if a {!move}
+    left it stale. *)
 
 (** {1 Search} *)
 

@@ -34,14 +34,22 @@ let check_equal name reference outcome =
   Alcotest.(check int) (name ^ " moves") reference.LS.moves outcome.LS.moves;
   Alcotest.(check int) (name ^ " passes") reference.LS.passes outcome.LS.passes
 
+(* The QMC load table is cached on the problem, so each run gets a
+   fresh copy: every pool size builds its own table. *)
+let fresh problem =
+  Problem.create ~lo:problem.Problem.lo ~caps:problem.Problem.caps
+
 let equiv ~name ?(samples = 512) ?max_passes problem start =
   List.iter
     (fun ways ->
       with_pool ways (fun pool ->
           let reference =
-            Ls_reference.improve ~pool ~samples ?max_passes problem start
+            Ls_reference.improve ~pool ~samples ?max_passes (fresh problem)
+              start
           in
-          let outcome = LS.improve ~pool ~samples ?max_passes problem start in
+          let outcome =
+            LS.improve ~pool ~samples ?max_passes (fresh problem) start
+          in
           check_equal (Printf.sprintf "%s ways=%d" name ways) reference outcome))
     [ 1; 2; 4 ]
 
@@ -179,6 +187,133 @@ let prop_fused_matches_gain =
               !ok))
         [ 1; 4 ])
 
+(* --- the per-problem load table and the near-feasible index ------- *)
+
+(* A warm problem (its table already built) must give exactly what a
+   fresh copy gives: the polish, then a replan whose repair attempt
+   and volume-only retry both reuse the table. *)
+let test_cache_invisible_replan () =
+  let problem = fixture ~m:40 ~d:3 ~n_nodes:5 ~cap:1. () in
+  let start = Rod.Rod_algorithm.place problem in
+  let d = Problem.dim problem in
+  let l = Problem.total_coefficients problem in
+  let c_total = Problem.total_capacity problem in
+  (* Past capacity along stream 0, so the replanner starts at a
+     negative margin. *)
+  let rates =
+    Vec.init d (fun k ->
+        let base = c_total /. (float_of_int d *. l.(k)) in
+        if k = 0 then 2. *. base else 0.8 *. base)
+  in
+  let cost_of j = 0.01 *. float_of_int (j mod 3) in
+  let polish p = LS.improve ~samples:512 p start in
+  let replan p =
+    Dynamic.Replanner.replan ~samples:512 ~rates ~budget:4 ~cost_of p
+      ~assignment:start
+  in
+  let warm_polish = polish problem in
+  let warm_replan = replan problem in
+  check_equal "improve warm/fresh" (polish (fresh problem)) warm_polish;
+  let fresh_replan = replan (fresh problem) in
+  let open Dynamic.Replanner in
+  Alcotest.(check bool) "replan moved" true (fresh_replan.moves <> []);
+  Alcotest.(check bool) "replan accepted" fresh_replan.accepted
+    warm_replan.accepted;
+  Alcotest.(check bool) "replan moves" true (fresh_replan.moves = warm_replan.moves);
+  Alcotest.(check (array int))
+    "replan assignment" fresh_replan.assignment warm_replan.assignment;
+  Alcotest.check (Alcotest.float 0.) "replan ratio before"
+    fresh_replan.ratio_before warm_replan.ratio_before;
+  Alcotest.check (Alcotest.float 0.) "replan ratio after"
+    fresh_replan.ratio_after warm_replan.ratio_after
+
+(* One entry per problem: switching the sample count replaces the
+   table, and switching back rebuilds the first one bit for bit. *)
+let test_cache_alternating_samples () =
+  let problem = fixture ~m:24 ~d:3 ~n_nodes:4 ~cap:1. () in
+  let start = Array.make 24 0 in
+  List.iter
+    (fun samples ->
+      let name = Printf.sprintf "samples=%d" samples in
+      check_equal name
+        (LS.improve ~samples (fresh problem) start)
+        (LS.improve ~samples problem start))
+    [ 512; 256; 512 ]
+
+(* The brute-force bound: every sample, on a mirror of the scorer's
+   node loads kept with the scorer's own float operations (the initial
+   left-to-right accumulation of [make_scorer], then [before +. (sign
+   *. c)] per shift), so the mirror is exact, not approximate. *)
+let full_scan_bound ~table ~caps node_load assignment j =
+  let home = assignment.(j) in
+  let count = ref 0 in
+  for s = 0 to samples - 1 do
+    let v = ref 0 in
+    Array.iteri (fun i row -> if row.(s) > caps.(i) then incr v) node_load;
+    let h = node_load.(home).(s) in
+    if !v = 1 && h > caps.(home) && h -. table.(j).(s) <= caps.(home) then
+      incr count
+  done;
+  !count
+
+let shift_mirror node_load table j i sign =
+  let row = node_load.(i) and c = table.(j) in
+  for s = 0 to samples - 1 do
+    row.(s) <- row.(s) +. (sign *. c.(s))
+  done
+
+let moves_gen = QCheck.Gen.(list_size (1 -- 12) (pair (0 -- 1000) (0 -- 1000)))
+
+let arbitrary_walk =
+  QCheck.make
+    ~print:(fun (inst, moves) ->
+      print_instance inst ^ " moves = "
+      ^ String.concat ";"
+          (List.map (fun (j, i) -> Printf.sprintf "%d->%d" j i) moves))
+    QCheck.Gen.(pair instance_gen moves_gen)
+
+(* Queries interleaved with moves: every move leaves the near-feasible
+   index stale, and the next bound query must rebuild it exactly. *)
+let prop_bound_exact_after_moves =
+  QCheck.Test.make ~name:"relocation bound = full scan after every move"
+    ~count:60 arbitrary_walk (fun ((lo, caps, start), walk) ->
+      List.for_all
+        (fun ways ->
+          with_pool ways (fun pool ->
+              let problem = Problem.create ~lo:(Mat.of_arrays lo) ~caps in
+              let m = Problem.n_ops problem and n = Problem.n_nodes problem in
+              let assignment = Array.copy start in
+              let scorer = LS.make_scorer ~pool problem assignment samples in
+              let table =
+                match Atomic.get problem.Problem.load_table with
+                | Some (_, table) -> table
+                | None -> assert false
+              in
+              let node_load = Array.init n (fun _ -> Array.make samples 0.) in
+              Array.iteri (fun j i -> shift_mirror node_load table j i 1.) start;
+              let exact () =
+                List.for_all
+                  (fun j ->
+                    let bound = LS.relocation_positive_bound scorer j in
+                    bound = full_scan_bound ~table ~caps node_load assignment j
+                    && Array.for_all
+                         (fun g -> g <= bound)
+                         (LS.relocation_gains scorer j))
+                  (List.init m Fun.id)
+              in
+              exact ()
+              && List.for_all
+                   (fun (j, i) ->
+                     let j = j mod m and to_node = i mod n in
+                     let from_node = assignment.(j) in
+                     LS.move scorer j ~from_node ~to_node;
+                     shift_mirror node_load table j from_node (-1.);
+                     shift_mirror node_load table j to_node 1.;
+                     assignment.(j) <- to_node;
+                     exact ())
+                   walk))
+        [ 1; 4 ])
+
 let suite =
   [
     Alcotest.test_case "old = new: random starts (1/2/4)" `Quick
@@ -187,10 +322,15 @@ let suite =
       test_equiv_rod_start;
     Alcotest.test_case "old = new: degenerate shapes (1/2/4)" `Quick
       test_equiv_degenerate;
+    Alcotest.test_case "cached table: improve + replan warm = fresh" `Quick
+      test_cache_invisible_replan;
+    Alcotest.test_case "cached table: samples 512/256/512 = fresh" `Quick
+      test_cache_alternating_samples;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_gain_matches_move;
         prop_swap_gain_matches_moves;
         prop_fused_matches_gain;
+        prop_bound_exact_after_moves;
       ]

@@ -137,9 +137,14 @@ let test_volume_equivalence () =
 let test_local_search_equivalence () =
   let problem = fixture ~m:24 ~d:3 ~n_nodes:4 in
   let start = Array.init 24 (fun j -> j mod 2) in
+  (* A fresh copy per pool size: the QMC load table is cached on the
+     problem, and every pool size must build its own. *)
   let outcomes =
     List.map
       (fun ways ->
+        let problem =
+          Problem.create ~lo:problem.Problem.lo ~caps:problem.Problem.caps
+        in
         with_pool ways (fun pool ->
             Rod.Local_search.improve ~pool ~samples:512 problem start))
       [ 1; 2; 4 ]

@@ -40,7 +40,32 @@ let test_problem_validation () =
       ignore
         (Problem.create
            ~lo:(Mat.of_rows [ Vec.of_list [ 1. ] ])
-           ~caps:(Vec.of_list [ 0. ])))
+           ~caps:(Vec.of_list [ 0. ])));
+  (* NaN slips past every sign test; infinities would poison the
+     shared QMC load table.  Both are rejected with their position. *)
+  List.iter
+    (fun (x, shown) ->
+      Alcotest.check_raises (shown ^ " coefficient rejected")
+        (Invalid_argument
+           (Printf.sprintf
+              "Problem.create: non-finite load coefficient %s at operator 1, \
+               variable 0"
+              shown))
+        (fun () ->
+          ignore
+            (Problem.create
+               ~lo:(Mat.of_rows [ Vec.of_list [ 1.; 1. ]; Vec.of_list [ x; 1. ] ])
+               ~caps:(Vec.ones 2)));
+      Alcotest.check_raises (shown ^ " capacity rejected")
+        (Invalid_argument
+           (Printf.sprintf "Problem.create: non-finite capacity %s at node 2"
+              shown))
+        (fun () ->
+          ignore
+            (Problem.create
+               ~lo:(Mat.of_rows [ Vec.of_list [ 1. ] ])
+               ~caps:(Vec.of_list [ 1.; 2.; x ]))))
+    [ (Float.nan, "nan"); (Float.infinity, "inf"); (Float.neg_infinity, "-inf") ]
 
 let test_plan_matrices () =
   let problem = example2_problem () in
