@@ -1,4 +1,4 @@
-.PHONY: all build test bench examples clean check bench-quick bench-ladder benchdiff chaos-quick keyed lint rodscan rodproto rodunits promcheck sarif perfbench
+.PHONY: all build test bench examples clean check bench-quick bench-ladder benchdiff chaos-quick keyed lint rodscan rodproto rodunits promcheck sarif perfbench perfbench-ab
 
 all: build
 
@@ -103,6 +103,15 @@ SEED ?= 1
 SECONDS ?= 30
 perfbench:
 	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace 0
+
+# Same-box A/B of the end-to-end benchmark: builds BASE and HEAD (their
+# committed files) in temporary git worktrees, runs one alternating pair
+# of W runs per seed in SEEDS, and prints each metric's base and head
+# median, quartiles and the number of pairs HEAD won.
+BASE ?= HEAD~1
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+perfbench-ab:
+	bash tools/perfbench_ab.sh --base $(BASE) --workload $(W) --seeds "$(SEEDS)" --seconds $(SECONDS)
 
 examples:
 	dune exec examples/quickstart.exe
