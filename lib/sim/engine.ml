@@ -1,7 +1,5 @@
 (* rodlint: obs *)
 (* rodlint: deterministic *)
-(* rodproto: protocol — pause/drain/resume live migration; the role
-   markers below bind the per-operator protocol state rodproto tracks *)
 
 module Vec = Linalg.Vec
 module Graph = Query.Graph
@@ -58,34 +56,6 @@ type dynamic_config = {
     (int * int) list;
 }
 
-type work_item = {
-  op : int;
-  input_idx : int;
-  origin : float;
-}
-
-type node_state = {
-  capacity : float;
-  queue : work_item Queue.t;  (* rodproto: role input-queue *)
-  mutable busy : bool;  (* an item is in service *)
-  mutable busy_time : float;  (* within the measurement window *)
-  mutable busy_accum : float;  (* total, for controller utilization *)
-}
-
-type service_outcome = {
-  cpu : float;  (* CPU seconds charged *)
-  emitted : int;  (* output tuples *)
-  pairs : int;  (* join candidate pairs examined (0 otherwise) *)
-}
-
-type event =
-  | Deliver of work_item  (* routed to the operator's current node *)
-  | Complete of int * work_item * service_outcome
-  | Tick  (* dynamic controller wake-up *)
-  | Handoff of int  (* drain window closed; rodproto: role drain-event *)
-  | Migration_done of int  (* transfer finished; rodproto: role resume-event *)
-  | Crash_fault of int * int array  (* node dies; switch to recovery *)
-
 (* Sliding windows of a join operator: tuple timestamps per input side. *)
 type join_state = {
   window : float;
@@ -125,53 +95,85 @@ let binomial rng n p =
     !count
   end
 
+(* [units k]: [k] unit payloads, shared for small [k] so a service allocates none. *)
+let small_units = Array.init 64 (fun k -> List.init k (fun _ -> ()))
+let units k = if k < 64 then small_units.(k) else List.init k (fun _ -> ())
+
 let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
     ~until () =
-  let m = Graph.n_ops graph in
-  let d = Graph.n_inputs graph in
-  let n = Vec.dim caps in
-  if Array.length assignment <> m then invalid_arg "Engine.run: assignment length";
-  Array.iter
-    (fun node ->
-      if node < 0 || node >= n then invalid_arg "Engine.run: bad node index")
-    assignment;
+  let m = Graph.n_ops graph and d = Graph.n_inputs graph and n = Vec.dim caps in
   if Array.length arrivals <> d then
     invalid_arg "Engine.run: arrivals per input stream expected";
-  if until <= config.warmup then invalid_arg "Engine.run: until <= warmup";
-  (match dynamic with
-  | Some dc
-    when dc.interval <= 0. || dc.migration_delay < 0. || dc.drain_delay < 0. ->
-    invalid_arg "Engine.run: bad dynamic config"
-  | Some _ | None -> ());
-  Fault.validate ~n_nodes:n ~n_ops:m config.faults;
-  (* Per-stream arrival times, stable-sorted: the source cursor streams
-     them into the loop and the controller's rate gauges count them. *)
-  let arrivals =
-    Array.mapi
-      (fun k times -> Source_cursor.sort_stream ~fn:"Engine.run" ~stream:k ~time:Fun.id times)
-      arrivals
-  in
-  let assignment = Array.copy assignment in (* rodproto: role deployed-assignment *)
-  let dead = Array.make n false in
-  let lost_count = ref 0 in
   let rng = Random.State.make [| config.seed |] in
   let readers = readers graph in
-  let nodes =
-    Array.init n (fun i ->
-        { capacity = caps.(i); queue = Queue.create (); busy = false;
-          busy_time = 0.; busy_accum = 0. })
+  let joins = Hashtbl.create 4 in
+  for j = 0 to m - 1 do
+    match (Graph.op graph j).Op.kind with
+    | Op.Join { window; _ } ->
+      Hashtbl.add joins j
+        { window; sides = [| Queue.create (); Queue.create () |] }
+    | Op.Linear _ | Op.Var_selectivity _ -> ()
+  done;
+  let op_stats =
+    Array.init m (fun j ->
+        Sim_metrics.make_op_stat ~arity:(Op.arity (Graph.op graph j)))
   in
-  (* Dynamic load-distribution state: operators mid-migration buffer
-     their input until the state transfer completes. *)
-  let migrating = Array.make m false in (* rodproto: role paused *)
-  let buffers = Array.init m (fun _ -> Queue.create ()) in (* rodproto: role buffer *)
-  (* Destination of an in-flight migration; [-1] when not migrating.
-     The assignment only flips at the drain-window handoff. *)
-  let pending = Array.make m (-1) in (* rodproto: role pending *)
+  let items_processed = ref 0 and outputs_count = ref 0 in
   let op_cpu_window = Array.make m 0. in
-  let last_busy = Array.make n 0. in
-  (* Per-stream positions of the controller's rate gauges in [arrivals]. *)
-  let rate_cursor = Array.make d 0 in
+  (* Each node's item in service: its CPU seconds, output count and join
+     pairs, all decided when its service starts. *)
+  let cpu = Array.make n 0. and emitted = Array.make n 0 and pairs = Array.make n 0 in
+  let serve now node (item : unit Kernel.item) =
+    (cpu.(node) <-
+       match (Graph.op graph item.op).Op.kind with
+      | Op.Linear { costs; selectivities } ->
+        emitted.(node) <- emit_count rng selectivities.(item.input_idx);
+        pairs.(node) <- 0;
+        costs.(item.input_idx)
+      | Op.Var_selectivity { cost; sel_now; _ } ->
+        emitted.(node) <- emit_count rng sel_now;
+        pairs.(node) <- 0;
+        cost
+      | Op.Join { cost_per_pair; sel_per_pair; window = _ } ->
+        let state = Hashtbl.find joins item.op in
+        (* Tuples pair when their timestamps differ by at most window/2:
+           both sides probe, each candidate pair is examined exactly once
+           (when its later tuple arrives), and the pair rate is
+           w * r_u * r_v — matching the load model of §6.2. *)
+        let horizon = now -. (state.window /. 2.) in
+        let expire q =
+          while (not (Queue.is_empty q)) && Queue.peek q < horizon do
+            ignore (Queue.pop q)
+          done
+        in
+        Array.iter expire state.sides;
+        let own = state.sides.(item.input_idx) in
+        let opposite = state.sides.(1 - item.input_idx) in
+        let p = Queue.length opposite in
+        Queue.add now own;
+        emitted.(node) <- binomial rng p sel_per_pair;
+        pairs.(node) <- p;
+        cost_per_pair *. float_of_int p);
+    units emitted.(node)
+  in
+  let complete now node (item : unit Kernel.item) =
+    op_cpu_window.(item.op) <- op_cpu_window.(item.op) +. cpu.(node);
+    if now >= config.warmup && now <= until then begin
+      incr items_processed;
+      let (stat : Sim_metrics.op_stat) = op_stats.(item.op) and i = item.input_idx in
+      stat.consumed.(i) <- stat.consumed.(i) + 1;
+      stat.emitted.(i) <- stat.emitted.(i) + emitted.(node);
+      stat.cpu.(i) <- stat.cpu.(i) +. cpu.(node);
+      stat.pairs <- stat.pairs + pairs.(node)
+    end
+  in
+  let sink now (item : unit Kernel.item) () =
+    incr outputs_count;
+    Obs.Histogram.observe obs_sink_latency (now -. item.origin)
+  in
+  (* The controller's inputs over the last interval: per-node
+     utilization and per-stream arrival rates. *)
+  let last_busy = Array.make n 0. and last_arrived = Array.make d 0 in
   let input_rate_gauges =
     match dynamic with
     | None -> [||]
@@ -182,337 +184,81 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
             ~help:"Observed input rate over the last control interval (tuples/s)"
             "rod_sim_input_rate")
   in
-  let migrations_count = ref 0 in
-  let dropped_count = ref 0 in
-  let joins = Hashtbl.create 4 in
-  for j = 0 to m - 1 do
-    match (Graph.op graph j).Op.kind with
-    | Op.Join { window; _ } ->
-      Hashtbl.add joins j
-        { window; sides = [| Queue.create (); Queue.create () |] }
-    | Op.Linear _ | Op.Var_selectivity _ -> ()
-  done;
-  let events = Event_queue.create () in
-  let op_stats =
-    Array.init m (fun j ->
-        Sim_metrics.make_op_stat ~arity:(Op.arity (Graph.op graph j)))
+  let tick dc ~time ~busy ~arrived ~assignment =
+    let utilization =
+      Array.mapi
+        (fun i b ->
+          let used = (b -. last_busy.(i)) /. dc.interval in
+          last_busy.(i) <- b;
+          Float.min 1. used)
+        busy
+    in
+    let rates =
+      Array.mapi
+        (fun s count ->
+          let r = float_of_int (count - last_arrived.(s)) /. dc.interval in
+          last_arrived.(s) <- count;
+          Obs.Gauge.set input_rate_gauges.(s) r;
+          r)
+        arrived
+    in
+    let op_cpu = Array.copy op_cpu_window in
+    Array.fill op_cpu_window 0 m 0.;
+    dc.decide ~time ~utilization ~op_cpu ~rates ~assignment:(Array.copy assignment)
   in
-  let latencies = Sim_metrics.Samples.create () in
-  (* Per-op service-time histograms, resolved once up front so the
-     event loop never touches the registry lock. *)
-  let op_service =
-    Array.init m (fun j ->
-        Obs.histogram
-          ~labels:[ ("op", string_of_int j) ]
-          ~help:"Service wall time per work item (seconds)"
-          "rod_sim_op_service_seconds")
+  let s =
+    Kernel.run ~fn:"Engine.run" ~cat:"sim" ~readers ~assignment ~caps ~sources:arrivals
+      ~time:Fun.id ~payload:ignore ~faults:config.faults ~net_delay:config.net_delay
+      ~warmup:config.warmup ~until
+      ~shed_above:(Option.value config.shed_above ~default:max_int)
+      (* Per-op service-time histograms, resolved once up front so the
+         event loop never touches the registry lock. *)
+      ~op_service:
+        (Array.init m (fun j ->
+             Obs.histogram
+               ~labels:[ ("op", string_of_int j) ]
+               ~help:"Service wall time per work item (seconds)"
+               "rod_sim_op_service_seconds"))
+      ~migration:
+        (Option.map
+           (fun dc ->
+             {
+               Kernel.drain_delay = dc.drain_delay;
+               transfer_delay = ("migration_delay", dc.migration_delay);
+               state_delay = dc.state_delay;
+               resume_at = (fun now base state -> now +. base +. state);
+             })
+           dynamic)
+      ~serve ~cpu ~complete ~sink
+      ~tick:(Option.map (fun dc -> (dc.interval, tick dc)) dynamic)
+      ~moves:[]
   in
-  let migration_start = Array.make m 0. in
-  let obs_event_count = ref 0 in
-  let arrivals_count = ref 0 in
-  let items_processed = ref 0 in
-  let outputs_count = ref 0 in
-  (* Items in node queues and migration buffers. *)
-  let queued = ref 0 in
-  let max_backlog = ref 0 in
-  let measured t = t >= config.warmup && t <= until in
-  (* Service of one item: CPU seconds and the number of output tuples
-     (both decided when service begins). *)
-  let service now item =
-    let op = Graph.op graph item.op in
-    match op.Op.kind with
-    | Op.Linear { costs; selectivities } ->
-      {
-        cpu = costs.(item.input_idx);
-        emitted = emit_count rng selectivities.(item.input_idx);
-        pairs = 0;
-      }
-    | Op.Var_selectivity { cost; sel_now; _ } ->
-      { cpu = cost; emitted = emit_count rng sel_now; pairs = 0 }
-    | Op.Join { cost_per_pair; sel_per_pair; window = _ } ->
-      let state = Hashtbl.find joins item.op in
-      (* Tuples pair when their timestamps differ by at most window/2:
-         both sides probe, each candidate pair is examined exactly once
-         (when its later tuple arrives), and the pair rate is
-         w * r_u * r_v — matching the load model of §6.2. *)
-      let horizon = now -. (state.window /. 2.) in
-      let expire q =
-        while (not (Queue.is_empty q)) && Queue.peek q < horizon do
-          ignore (Queue.pop q)
-        done
-      in
-      Array.iter expire state.sides;
-      let own = state.sides.(item.input_idx) in
-      let opposite = state.sides.(1 - item.input_idx) in
-      let pairs = Queue.length opposite in
-      Queue.add now own;
-      {
-        cpu = cost_per_pair *. float_of_int pairs;
-        emitted = binomial rng pairs sel_per_pair;
-        pairs;
-      }
-  in
-  let start_service node_idx now =
-    let node = nodes.(node_idx) in
-    if not (Queue.is_empty node.queue) then begin
-      let item = Queue.take node.queue in
-      decr queued;
-      let outcome = service now item in
-      let capacity =
-        node.capacity
-        *. Fault.capacity_factor config.faults ~node:node_idx ~time:now
-      in
-      let wall = outcome.cpu /. capacity in
-      if measured now then Obs.Histogram.observe op_service.(item.op) wall;
-      let finish = now +. wall in
-      (* Busy time clipped to the measurement window. *)
-      let lo = Float.max now config.warmup and hi = Float.min finish until in
-      if hi > lo then node.busy_time <- node.busy_time +. (hi -. lo);
-      node.busy_accum <- node.busy_accum +. wall;
-      node.busy <- true;
-      Event_queue.push events ~time:finish (Complete (node_idx, item, outcome))
-    end
-  in
-  (* Route to the operator's current node (re-routing in-flight tuples
-     after a migration), or into its buffer while it migrates. *)
-  let deliver now item =
-    if migrating.(item.op) then begin
-      Queue.add item buffers.(item.op);
-      incr queued
-    end
-    else begin
-      let node_idx = assignment.(item.op) in
-      if dead.(node_idx) then begin
-        (* Only a broken recovery still routes here. *)
-        if measured now then incr lost_count
-      end
-      else
-      let node = nodes.(node_idx) in
-      match config.shed_above with
-      | Some limit when Queue.length node.queue >= limit ->
-        if measured now then incr dropped_count
-      | Some _ | None ->
-        Queue.add item node.queue;
-        incr queued;
-        if not node.busy then start_service node_idx now
-    end;
-    if !queued > !max_backlog then max_backlog := !queued
-  in
-  let emit now item count =
-    let out = readers.(d + item.op) in
-    if Array.length out = 0 then begin
-      (* Sink operator: outputs leave the system. *)
-      if measured now then begin
-        outputs_count := !outputs_count + count;
-        for _ = 1 to count do
-          Sim_metrics.Samples.add latencies (now -. item.origin);
-          Obs.Histogram.observe obs_sink_latency (now -. item.origin)
-        done
-      end
-    end
-    else
-      for _ = 1 to count do
-        for r = 0 to Array.length out - 1 do
-          let op, input_idx = out.(r) in
-          let delay =
-            if assignment.(op) = assignment.(item.op) then 0.
-            else config.net_delay +. Fault.extra_delay config.faults ~time:now
-          in
-          Event_queue.push events ~time:(now +. delay)
-            (Deliver { op; input_idx; origin = item.origin })
-        done
-      done
-  in
-  (* One source arrival: a work item for every reader of its stream, each
-     counted as one event. *)
-  let arrive now k _ =
-    if measured now then incr arrivals_count;
-    let out = readers.(k) in
-    for r = 0 to Array.length out - 1 do
-      let op, input_idx = out.(r) in
-      incr obs_event_count;
-      deliver now { op; input_idx; origin = now }
-    done
-  in
-  (* Pause–drain–resume, step 1 (pause): the operator's queued work
-     moves into its buffer (the in-service item, if any, finishes on the
-     old node), new input buffers, and a drain window opens for in-flight
-     tuples.  The assignment does NOT flip yet — that happens at the
-     [Handoff] closing the drain window. *)
-  let start_migration now op dest =
-    if (not migrating.(op)) && dest <> assignment.(op) && dest >= 0 && dest < n
-    then begin
-      let drain = match dynamic with Some dc -> dc.drain_delay | None -> 0. in
-      let old_queue = nodes.(assignment.(op)).queue in
-      let kept = Queue.create () in
-      Queue.iter
-        (fun item ->
-          if item.op = op then Queue.add item buffers.(op)
-          else Queue.add item kept)
-        old_queue;
-      Queue.clear old_queue;
-      Queue.transfer kept old_queue;
-      migrating.(op) <- true;
-      pending.(op) <- dest;
-      incr migrations_count;
-      migration_start.(op) <- now;
-      Event_queue.push events ~time:(now +. drain) (Handoff op)
-    end
-  in
-  let handle_tick now =
-    match dynamic with
-    | None -> ()
-    | Some dc ->
-      let utilization =
-        Array.mapi
-          (fun i node ->
-            let used = (node.busy_accum -. last_busy.(i)) /. dc.interval in
-            last_busy.(i) <- node.busy_accum;
-            Float.min 1. used)
-          nodes
-      in
-      let rates =
-        Array.mapi
-          (fun k times ->
-            let c = ref rate_cursor.(k) in
-            while !c < Array.length times && times.(!c) <= now do
-              incr c
-            done;
-            let count = !c - rate_cursor.(k) in
-            rate_cursor.(k) <- !c;
-            let r = float_of_int count /. dc.interval in
-            Obs.Gauge.set input_rate_gauges.(k) r;
-            r)
-          arrivals
-      in
-      let decisions =
-        dc.decide ~time:now ~utilization ~op_cpu:(Array.copy op_cpu_window)
-          ~rates
-          ~assignment:(Array.copy assignment)
-      in
-      Array.fill op_cpu_window 0 m 0.;
-      List.iter (fun (op, dest) -> start_migration now op dest) decisions;
-      if now +. dc.interval <= until then
-        Event_queue.push events ~time:(now +. dc.interval) Tick
-  in
-  let handle now event =
-    incr obs_event_count;
-    match event with
-    | Deliver item -> deliver now item
-    | Complete (node_idx, _item, _outcome) when dead.(node_idx) ->
-      (* The node died while this item was in service: the work (and
-         its outputs) perish with it. *)
-      if measured now then incr lost_count
-    | Complete (node_idx, item, outcome) ->
-      nodes.(node_idx).busy <- false;
-      op_cpu_window.(item.op) <- op_cpu_window.(item.op) +. outcome.cpu;
-      if measured now then begin
-        incr items_processed;
-        let stat = op_stats.(item.op) in
-        stat.Sim_metrics.consumed.(item.input_idx) <-
-          stat.Sim_metrics.consumed.(item.input_idx) + 1;
-        stat.Sim_metrics.emitted.(item.input_idx) <-
-          stat.Sim_metrics.emitted.(item.input_idx) + outcome.emitted;
-        stat.Sim_metrics.cpu.(item.input_idx) <-
-          stat.Sim_metrics.cpu.(item.input_idx) +. outcome.cpu;
-        stat.Sim_metrics.pairs <- stat.Sim_metrics.pairs + outcome.pairs
-      end;
-      emit now item outcome.emitted;
-      start_service node_idx now
-    | Tick -> handle_tick now
-    | Handoff op ->
-      (* Drain window closed: flip ownership iff the destination is
-         still alive, then transfer state.  A dead destination aborts
-         the migration — the operator resumes wherever the (possibly
-         recovery-remapped) assignment says it lives. *)
-      let dest = pending.(op) in
-      (* rodproto: gated-by Deploy.finish — deployed/replanned plans are gated *)
-      if dest >= 0 && not dead.(dest) then assignment.(op) <- dest;
-      let delay, state =
-        match dynamic with
-        | Some dc -> (dc.migration_delay, Float.max 0. (dc.state_delay op))
-        | None -> (0., 0.)
-      in
-      Event_queue.push events ~time:(now +. delay +. state) (Migration_done op)
-    | Migration_done op ->
-      migrating.(op) <- false;
-      pending.(op) <- -1;
-      Obs.emit ~cat:"sim"
-        ~args:
-          [ ("op", string_of_int op); ("to", string_of_int assignment.(op)) ]
-        ~ts:migration_start.(op)
-        ~dur:(now -. migration_start.(op))
-        "sim.migrate";
-      let flush = Queue.create () in
-      queued := !queued - Queue.length buffers.(op);
-      Queue.transfer buffers.(op) flush;
-      Queue.iter (fun item -> deliver now item) flush
-    | Crash_fault (node_idx, recovery) ->
-      dead.(node_idx) <- true;
-      let node = nodes.(node_idx) in
-      Obs.instant ~cat:"fault" ~ts:now
-        ~args:[ ("node", string_of_int node_idx) ]
-        "fault.crash";
-      (* Queued work dies with the node; the in-service item (if any) is
-         dropped when its Complete event fires. *)
-      if measured now then lost_count := !lost_count + Queue.length node.queue;
-      queued := !queued - Queue.length node.queue;
-      Queue.clear node.queue;
-      let moved = ref 0 in
-      Array.iteri
-        (fun j dest -> if dest <> assignment.(j) then incr moved)
-        recovery;
-      Obs.instant ~cat:"fault" ~ts:now
-        ~args:
-          [
-            ("node", string_of_int node_idx);
-            ("ops_moved", string_of_int !moved);
-          ]
-        "fault.recovery";
-      (* rodproto: gated-by Deploy.finish — recovery plans ship gated with the deployment *)
-      Array.blit recovery 0 assignment 0 m
-  in
-  (match dynamic with
-  | Some dc -> Event_queue.push events ~time:dc.interval Tick
-  | None -> ());
-  List.iter
-    (fun (at, node, recovery) ->
-      if at <= until then
-        Event_queue.push events ~time:at (Crash_fault (node, recovery)))
-    (Fault.crashes config.faults);
-  Source_cursor.run arrivals events ~until ~arrive ~handle;
   (* Only events past [until] are left: the depth after the last pop. *)
-  if !obs_event_count > 0 then
-    Obs.Gauge.set obs_queue_depth (float_of_int (Event_queue.length events));
+  if s.events > 0 then Obs.Gauge.set obs_queue_depth (float_of_int s.waiting);
   Obs.Counter.incr obs_runs;
-  Obs.Counter.add obs_events !obs_event_count;
-  Obs.Counter.add obs_migrations !migrations_count;
-  Obs.Counter.add obs_lost !lost_count;
+  Obs.Counter.add obs_events s.events;
+  Obs.Counter.add obs_migrations s.migrations;
+  Obs.Counter.add obs_lost s.lost;
   Obs.emit ~cat:"sim"
     ~args:
       [
-        ("arrivals", string_of_int !arrivals_count);
+        ("arrivals", string_of_int s.arrivals);
         ("outputs", string_of_int !outputs_count);
-        ("events", string_of_int !obs_event_count);
+        ("events", string_of_int s.events);
       ]
     ~ts:0. ~dur:until "sim.run";
-  let backlog =
-    Array.fold_left
-      (fun acc node -> if node.busy then acc + 1 else acc)
-      !queued nodes
-  in
   let span = until -. config.warmup in
   {
     Sim_metrics.duration = span;
-    utilization = Array.map (fun node -> node.busy_time /. span) nodes;
-    latencies;
-    arrivals = !arrivals_count;
+    utilization = Array.map (fun busy -> busy /. span) s.busy_time;
+    latencies = s.latencies;
+    arrivals = s.arrivals;
     items_processed = !items_processed;
     outputs = !outputs_count;
-    backlog;
-    max_backlog = !max_backlog;
+    backlog = s.queued + s.in_service;
+    max_backlog = s.max_backlog;
     op_stats;
-    migrations = !migrations_count;
-    dropped = !dropped_count;
-    lost = !lost_count;
+    migrations = s.migrations;
+    dropped = s.dropped;
+    lost = s.lost;
   }

@@ -1,12 +1,9 @@
 (** A discrete-event simulator of a distributed stream-processing
-    engine — the substrate standing in for the Borealis prototype.
-
-    Model (matching the paper's assumptions in §2.1):
-    - each node is a serial CPU of a given capacity; processing a tuple
-      whose operator cost is [w] CPU-seconds occupies the node for
-      [w / capacity] wall-seconds; work items queue FIFO per node;
-    - the interconnect has ample bandwidth; a tuple crossing nodes is
-      delayed by a fixed [net_delay] but never queues;
+    engine — the substrate standing in for the Borealis prototype.  It
+    runs on {!Kernel}, which holds the paper's §2.1 node and network
+    model (serial CPUs of given capacities with FIFO queues; a fixed
+    [net_delay] per hop between nodes, which never queues), migration
+    and crashes.  This engine serves abstract operators:
     - linear operators emit output tuples according to their
       selectivity (Bernoulli draws, expectation = selectivity);
     - time-window joins keep real sliding windows of tuple timestamps:
@@ -34,13 +31,10 @@ type config = {
           overload alternative to placement that the paper's related
           work discusses.  [None] (default) = lossless queues. *)
   faults : Fault.schedule;
-      (** Injected faults (default none).  Crashes kill a node — its
-          queued and in-service work is lost, the assignment switches to
-          the event's recovery, and anything later routed to the dead
-          node is lost too.  Slowdowns scale a node's capacity inside
-          their window (sampled at service start); jitter adds to
-          [net_delay] for hops emitted inside its window.  A schedule is
-          pure data, so runs stay deterministic given [seed]. *)
+      (** Injected faults (default none), as {!Kernel} plays them:
+          crashes lose work and switch to the recovery, slowdowns scale
+          capacity, jitter widens hops.  A schedule is pure data, so
+          runs stay deterministic given [seed]. *)
 }
 
 val default_config : config
@@ -54,12 +48,8 @@ type dynamic_config = {
           Borealis); the operator processes nothing during the pause and
           its input queues up. *)
   drain_delay : float; (* rodunits: sim-sec *)
-      (** Drain window between the pause and the handoff: the old node
-          keeps ownership while in-flight tuples settle into the
-          operator's buffer.  Ownership flips only when the window
-          closes — and only if the destination is still alive; a dead
-          destination aborts the migration and the operator resumes
-          wherever the (possibly recovery-remapped) assignment says. *)
+      (** Drain window between the pause and the handoff, which
+          switches the owner only if the destination is alive. *)
   state_delay : int -> float;
       (** Per-operator state-transfer seconds added to
           [migration_delay] after the handoff (negative values are
@@ -83,12 +73,9 @@ type dynamic_config = {
 }
 (** Optional dynamic load distribution running {e inside} the
     simulation — the reactive scheme the paper argues cannot keep up
-    with short-term bursts.  Each migration is a pause–drain–resume:
-    tuples addressed to a migrating operator buffer from the pause
-    until the resume, the drain window closes with a handoff flipping
-    ownership, the state transfer charges
-    [migration_delay + state_delay op], and the resume flushes the
-    buffer to the operator's current node. *)
+    with short-term bursts.  Each migration is {!Kernel}'s
+    pause–drain–resume, its transfer charging
+    [migration_delay + state_delay op]. *)
 
 val run :
   graph:Query.Graph.t ->
@@ -102,11 +89,6 @@ val run :
   Sim_metrics.t
 (* rodunits: until:sim-sec -> _ *)
 (** Simulate the placed graph fed by per-input-stream arrival timestamp
-    lists, up to absolute time [until].  The lists may come in any order
-    (e.g. ascending, as produced by {!Workload.Generators}): each is
-    stable-sorted, so equal times keep list order, and at one instant
-    arrivals come before every other event, ordered by stream index and
-    then list position.  Work still queued at [until] is reported as
-    backlog.
-    @raise Invalid_argument naming the stream and list index of an
-    arrival time that is not finite or is negative. *)
+    lists, in any order, up to absolute time [until]; {!Kernel.run}
+    sorts them and checks them and the timing values.  Work still
+    queued or in service at [until] is reported as backlog. *)

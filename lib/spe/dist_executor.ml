@@ -1,10 +1,8 @@
 (* rodlint: obs *)
-(* rodproto: protocol — pause/drain/resume live migration, mirroring
-   Dsim.Engine; role markers below bind the protocol state *)
 
 module Vec = Linalg.Vec
 module Graph = Query.Graph
-module Event_queue = Dsim.Event_queue
+module Kernel = Dsim.Kernel
 module Samples = Obs.Samples
 
 let obs_runs = Obs.counter ~help:"SPE distributed runs" "rod_spe_runs_total"
@@ -54,62 +52,11 @@ let cost_model_of_graph graph op input_idx =
   | Query.Op.Join { cost_per_pair; _ } -> cost_per_pair
   | Query.Op.Var_selectivity { cost; _ } -> cost
 
-type work_item = {
-  op : int;
-  input_idx : int;
-  tuple : Tuple.t;
-  origin : float;  (* event time of the source tuple *)
-}
-
-type node_state = {
-  capacity : float;
-  queue : work_item Queue.t;  (* rodproto: role input-queue *)
-  mutable busy : bool;
-  mutable busy_time : float;
-}
-
-type event =
-  | Deliver of work_item
-  | Complete of int * work_item * Tuple.t list  (* node, item, outputs *)
-  | Migrate of (int * int) list  (* scripted (op, dest) migrations *)
-  | Handoff of int  (* drain window closed; rodproto: role drain-event *)
-  | Resume of int  (* state transfer finished; rodproto: role resume-event *)
-  | Crash_fault of int * int array  (* node dies; switch to recovery *)
-
 let run ~network ~assignment ~caps ~cost ~inputs ?(config = default_config)
     ?(migrations = []) ?(timing = default_timing) ~until () =
-  let m = Network.n_ops network in
-  let d = Network.n_inputs network in
-  let n = Vec.dim caps in
-  if Array.length assignment <> m then
-    invalid_arg "Dist_executor.run: assignment length";
-  Array.iter
-    (fun node ->
-      if node < 0 || node >= n then
-        invalid_arg "Dist_executor.run: bad node index")
-    assignment;
+  let m = Network.n_ops network and d = Network.n_inputs network in
   if Array.length inputs <> d then
     invalid_arg "Dist_executor.run: one tuple list per input stream";
-  if until <= config.warmup then invalid_arg "Dist_executor.run: until <= warmup";
-  if timing.drain_delay < 0. || timing.handoff_delay < 0. then
-    invalid_arg "Dist_executor.run: negative migration timing";
-  List.iter
-    (fun (_, moves) ->
-      List.iter
-        (fun (op, dest) ->
-          if op < 0 || op >= m || dest < 0 || dest >= n then
-            invalid_arg "Dist_executor.run: bad migration")
-        moves)
-    migrations;
-  Dsim.Fault.validate ~n_nodes:n ~n_ops:m config.faults;
-  (* Per-stream source tuples, stable-sorted by timestamp. *)
-  let inputs =
-    Array.mapi
-      (fun k tuples ->
-        Dsim.Source_cursor.sort_stream ~fn:"Dist_executor.run" ~stream:k ~time:Tuple.ts
-          tuples)
-      inputs
-  in
   (* Readers of input stream [k] at slot [k], of op [j]'s output at [d + j]. *)
   let readers =
     Array.init (d + m) (fun s ->
@@ -117,244 +64,80 @@ let run ~network ~assignment ~caps ~cost ~inputs ?(config = default_config)
           (Network.consumers network
              (if s < d then Graph.Sys_input s else Graph.Op_output (s - d))))
   in
-  let assignment = Array.copy assignment in (* rodproto: role deployed-assignment *)
-  let dead = Array.make n false in
-  let lost = ref 0 in
   let states = Array.init m (fun j -> Executor.replay_state (Network.op network j)) in
   let stats = Array.init m (fun j -> Executor.replay_stat (Network.op network j)) in
-  let nodes =
-    Array.init n (fun i ->
-        { capacity = caps.(i); queue = Queue.create (); busy = false;
-          busy_time = 0. })
-  in
-  let events = Event_queue.create () in
   let outputs = ref [] in
-  let latencies = Samples.create () in
-  let arrivals = ref 0 in
-  (* Pause–drain–resume migration state, mirroring [Dsim.Engine]:
-     operators mid-migration buffer their input; ownership flips only at
-     the handoff closing the drain window. *)
-  let migrating = Array.make m false in (* rodproto: role paused *)
-  let mig_pending = Array.make m (-1) in (* rodproto: role pending *)
-  let mig_buffers = Array.init m (fun _ -> Queue.create ()) in (* rodproto: role buffer *)
-  let migration_start = Array.make m 0. in
-  let migrations_count = ref 0 in
-  let measured t = t >= config.warmup && t <= until in
-  let service item =
+  (* The CPU seconds of each node's item in service. *)
+  let cpu = Array.make (Vec.dim caps) 0. in
+  (* The operator runs when service starts, and its outputs ride on the
+     completion: a node that dies mid-service keeps the state change
+     and loses only the outputs. *)
+  let serve _now node (item : Tuple.t Kernel.item) =
     let sop = Network.op network item.op in
     let stat = stats.(item.op) in
     let pairs_before = stat.Executor.pairs in
-    let produced =
-      Executor.replay_process sop states.(item.op) stat item.input_idx item.tuple
-    in
+    let out = Executor.replay_process sop states.(item.op) stat item.input_idx item.payload in
     (* [replay_process] maintains only [pairs]; the consumed/emitted
        counters are the caller's job (as in [Executor.run]'s own loop). *)
     stat.Executor.consumed.(item.input_idx) <-
       stat.Executor.consumed.(item.input_idx) + 1;
-    stat.Executor.emitted <- stat.Executor.emitted + List.length produced;
-    let cpu =
-      match sop with
-      | Sop.Equi_join _ ->
-        cost item.op item.input_idx
-        *. float_of_int (stat.Executor.pairs - pairs_before)
-      | _ -> cost item.op item.input_idx
-    in
-    (cpu, produced)
+    stat.Executor.emitted <- stat.Executor.emitted + List.length out;
+    (cpu.(node) <-
+       match sop with
+       | Sop.Equi_join _ ->
+         cost item.op item.input_idx *. float_of_int (stat.Executor.pairs - pairs_before)
+       | _ -> cost item.op item.input_idx);
+    out
   in
-  let start_service node_idx now =
-    let node = nodes.(node_idx) in
-    if Queue.is_empty node.queue then node.busy <- false
-    else begin
-      let item = Queue.take node.queue in
-      node.busy <- true;
-      let cpu, produced = service item in
-      let capacity =
-        node.capacity
-        *. Dsim.Fault.capacity_factor config.faults ~node:node_idx ~time:now
-      in
-      let wall = cpu /. capacity in
-      let finish = now +. wall in
-      let lo = Float.max now config.warmup and hi = Float.min finish until in
-      if hi > lo then node.busy_time <- node.busy_time +. (hi -. lo);
-      Event_queue.push events ~time:finish (Complete (node_idx, item, produced))
-    end
-  in
-  let deliver now item =
-    if migrating.(item.op) then Queue.add item mig_buffers.(item.op)
-    else begin
-      let node_idx = assignment.(item.op) in
-      if dead.(node_idx) then begin
-        (* Only a broken recovery still routes here. *)
-        if measured now then incr lost
-      end
-      else begin
-        let node = nodes.(node_idx) in
-        Queue.add item node.queue;
-        if not node.busy then start_service node_idx now
-      end
-    end
-  in
-  (* Pause: the operator's queued work moves to its buffer (an
-     in-service item finishes on the old node), new input buffers, and
-     the drain window opens.  The assignment flips at the [Handoff]. *)
-  let start_migration now op dest =
-    if (not migrating.(op)) && dest <> assignment.(op) then begin
-      let old_queue = nodes.(assignment.(op)).queue in
-      let kept = Queue.create () in
-      Queue.iter
-        (fun item ->
-          if item.op = op then Queue.add item mig_buffers.(op)
-          else Queue.add item kept)
-        old_queue;
-      Queue.clear old_queue;
-      Queue.transfer kept old_queue;
-      migrating.(op) <- true;
-      mig_pending.(op) <- dest;
-      incr migrations_count;
-      migration_start.(op) <- now;
-      Event_queue.push events ~time:(now +. timing.drain_delay) (Handoff op)
-    end
-  in
-  let emit now item produced =
-    let out = readers.(d + item.op) in
-    if Array.length out = 0 then begin
-      if measured now then
-        List.iter
-          (fun t ->
-            outputs := (item.op, t) :: !outputs;
-            Samples.add latencies (now -. item.origin))
-          produced
-    end
-    else
-      List.iter
-        (fun t ->
-          for r = 0 to Array.length out - 1 do
-            let op, input_idx = out.(r) in
-            let delay =
-              if assignment.(op) = assignment.(item.op) then 0.
-              else config.net_delay +. Dsim.Fault.extra_delay config.faults ~time:now
-            in
-            Event_queue.push events ~time:(now +. delay)
-              (Deliver { op; input_idx; tuple = t; origin = item.origin })
-          done)
-        produced
-  in
-  (* One source tuple: a work item for every reader of its stream. *)
-  let arrive now k i =
-    if measured now then incr arrivals;
-    let out = readers.(k) in
-    for r = 0 to Array.length out - 1 do
-      let op, input_idx = out.(r) in
-      deliver now { op; input_idx; tuple = inputs.(k).(i); origin = now }
-    done
-  in
-  let handle now = function
-    | Deliver item -> deliver now item
-    | Complete (node_idx, _item, _produced) when dead.(node_idx) ->
-      (* The node died mid-service: the item and its outputs are lost.
-         Note the semantic state mutation happened at service start, so
-         downstream-visible losses are exactly the dropped outputs. *)
-      if measured now then incr lost
-    | Complete (node_idx, item, produced) ->
-      emit now item produced;
-      start_service node_idx now
-    | Migrate moves ->
-      List.iter (fun (op, dest) -> start_migration now op dest) moves
-    | Handoff op ->
-      (* Flip ownership iff the destination survived the drain window;
-         a dead destination aborts the migration and the operator
-         resumes wherever the (possibly recovery-remapped) assignment
-         says it lives. *)
-      let dest = mig_pending.(op) in
-      (* rodproto: gated-by Deploy.finish — deployed/replanned plans are gated *)
-      if dest >= 0 && not dead.(dest) then assignment.(op) <- dest;
-      let pause =
-        timing.handoff_delay +. Float.max 0. (timing.state_delay op)
-      in
-      Event_queue.push events ~time:(now +. pause) (Resume op)
-    | Resume op ->
-      migrating.(op) <- false;
-      mig_pending.(op) <- -1;
-      Obs.emit ~cat:"spe"
-        ~args:
-          [ ("op", string_of_int op); ("to", string_of_int assignment.(op)) ]
-        ~ts:migration_start.(op)
-        ~dur:(now -. migration_start.(op))
-        "spe.migrate";
-      let flush = Queue.create () in
-      Queue.transfer mig_buffers.(op) flush;
-      Queue.iter (fun item -> deliver now item) flush
-    | Crash_fault (node_idx, recovery) ->
-      dead.(node_idx) <- true;
-      let node = nodes.(node_idx) in
-      Obs.instant ~cat:"fault" ~ts:now
-        ~args:[ ("node", string_of_int node_idx) ]
-        "fault.crash";
-      if measured now then lost := !lost + Queue.length node.queue;
-      Queue.clear node.queue;
-      let moved = ref 0 in
-      Array.iteri
-        (fun j dest -> if dest <> assignment.(j) then incr moved)
-        recovery;
-      Obs.instant ~cat:"fault" ~ts:now
-        ~args:
-          [
-            ("node", string_of_int node_idx);
-            ("ops_moved", string_of_int !moved);
-          ]
-        "fault.recovery";
-      (* rodproto: gated-by Deploy.finish — recovery plans ship gated with the deployment *)
-      Array.blit recovery 0 assignment 0 m
-  in
-  List.iter
-    (fun (at, node, recovery) ->
-      if at <= until then
-        Event_queue.push events ~time:at (Crash_fault (node, recovery)))
-    (Dsim.Fault.crashes config.faults);
-  List.iter
-    (fun (at, moves) ->
-      if at <= until then Event_queue.push events ~time:at (Migrate moves))
-    migrations;
-  Dsim.Source_cursor.run
-    (Array.map (Array.map Tuple.ts) inputs)
-    events ~until ~arrive ~handle;
-  let backlog =
-    Array.fold_left (fun acc node -> acc + Queue.length node.queue) 0 nodes
-    + Array.fold_left (fun acc buf -> acc + Queue.length buf) 0 mig_buffers
+  let sink _ (item : Tuple.t Kernel.item) t = outputs := (item.op, t) :: !outputs in
+  let s =
+    Kernel.run ~fn:"Dist_executor.run" ~cat:"spe" ~readers ~assignment ~caps
+      ~sources:inputs ~time:Tuple.ts ~payload:Fun.id ~faults:config.faults
+      ~net_delay:config.net_delay ~warmup:config.warmup ~until ~shed_above:max_int
+      ~op_service:[||]
+      ~migration:
+        (Some
+           {
+             Kernel.drain_delay = timing.drain_delay;
+             transfer_delay = ("handoff_delay", timing.handoff_delay);
+             state_delay = timing.state_delay;
+             resume_at = (fun now base state -> now +. (base +. state));
+           })
+      ~serve ~cpu ~complete:(fun _ _ _ -> ()) ~sink ~tick:None ~moves:migrations
   in
   let span = until -. config.warmup in
   let outputs_count = List.length !outputs in
   Obs.Counter.incr obs_runs;
-  Obs.Counter.add obs_arrivals !arrivals;
+  Obs.Counter.add obs_arrivals s.arrivals;
   Obs.Counter.add obs_outputs outputs_count;
-  Obs.Counter.add obs_lost !lost;
+  Obs.Counter.add obs_lost s.lost;
   Array.iteri
-    (fun i node ->
+    (fun i busy ->
       let labels = [ ("node", string_of_int i) ] in
       Obs.Gauge.set
         (Obs.gauge ~labels ~help:"Busy fraction over the measured window"
            "rod_spe_node_utilization")
-        (node.busy_time /. span);
+        (busy /. span);
       Obs.Gauge.set
         (Obs.gauge ~labels ~help:"Work items still queued at run end"
            "rod_spe_node_queue_depth")
-        (float_of_int (Queue.length node.queue)))
-    nodes;
+        (float_of_int s.queue_depth.(i)))
+    s.busy_time;
   Obs.emit ~cat:"spe"
     ~args:
       [
-        ("arrivals", string_of_int !arrivals);
+        ("arrivals", string_of_int s.arrivals);
         ("outputs", string_of_int outputs_count);
-        ("lost", string_of_int !lost);
+        ("lost", string_of_int s.lost);
       ]
     ~ts:0. ~dur:until "spe.run";
   {
     outputs = List.rev !outputs;
-    utilization = Array.map (fun node -> node.busy_time /. span) nodes;
-    latencies;
-    arrivals = !arrivals;
-    backlog;
-    lost = !lost;
-    migrations = !migrations_count;
+    utilization = Array.map (fun busy -> busy /. span) s.busy_time;
+    latencies = s.latencies;
+    arrivals = s.arrivals;
+    backlog = s.queued;
+    lost = s.lost;
+    migrations = s.migrations;
     op_stats = stats;
   }

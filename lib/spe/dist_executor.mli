@@ -1,6 +1,6 @@
 (** Distributed semantic execution: the {!Executor}'s real operator
-    semantics combined with the simulator's timing model (serial CPUs
-    per node, FIFO queues, fixed network hop delay).
+    semantics on {!Dsim.Kernel}, the timing model, migration and crash
+    handling {!Dsim.Engine} runs on too.
 
     Where {!Dsim.Engine} abstracts operators into costs and Bernoulli
     selectivity draws, this engine pushes {e actual tuples} through
@@ -18,20 +18,15 @@ type config = {
   net_delay : float;  (** One-way hop latency, seconds (default 1 ms). *)
   warmup : float;  (** Metrics ignore events before this time. *)
   faults : Dsim.Fault.schedule;
-      (** Injected faults (default none), interpreted exactly as by
-          {!Dsim.Engine}: crashes lose the dead node's queued and
-          in-service work and switch to the event's recovery assignment;
-          slowdowns scale capacity at service start; jitter widens
-          inter-node hops emitted inside its window. *)
+      (** Injected faults (default none), played by {!Dsim.Kernel}
+          exactly as for {!Dsim.Engine}. *)
 }
 
 val default_config : config
 
 type migration_timing = {
   drain_delay : float;
-      (** Drain window between the pause and the handoff: the old node
-          keeps ownership while in-flight tuples settle into the
-          operator's buffer. *)
+      (** Drain window between the pause and the handoff. *)
   handoff_delay : float;
       (** Base state-transfer pause after the handoff (the paper's "few
           hundred milliseconds"). *)
@@ -80,23 +75,16 @@ val run :
   until:float ->
   unit ->
   result
-(** Tuples arrive at their own timestamps.  A stream's list may come in
-    any order: it is stable-sorted by timestamp, so equal timestamps keep
-    list order, and at one instant arrivals come before every other
-    event, ordered by stream index and then list position.  A timestamp
-    that is not finite or is negative raises [Invalid_argument] naming
-    its stream and list index.
+(** Tuples arrive at their own timestamps, the lists in any order;
+    {!Dsim.Kernel.run} sorts them and checks them and the timing values.
     [cost op input_idx] is CPU seconds per tuple (per candidate pair
     for joins).  Open aggregate windows at [until] are counted as
     backlog state, not flushed.
 
-    [migrations] are scripted pause–drain–resume relocations: at each
-    [(time, moves)] the listed [(op, dest)] migrations start — the
-    operator's queued work moves to a buffer, new input buffers, the
-    drain window closes with a handoff flipping ownership (skipped if
-    the destination died — the migration aborts), the state transfer
-    charges [handoff_delay + state_delay op], and the resume flushes
-    the buffer to the operator's current node.  Tuples buffered across
-    a migration are processed exactly once; semantic operator state is
+    [migrations] are scripted {!Dsim.Kernel} pause–drain–resume
+    relocations: at each [(time, moves)] the listed [(op, dest)]
+    migrations start, and each transfer charges
+    [handoff_delay + state_delay op].  Tuples buffered across a
+    migration are processed exactly once; semantic operator state is
     process-global, so a handoff never replays or drops window
     contents. *)

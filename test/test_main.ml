@@ -27,5 +27,6 @@ let () =
       ("units", Test_units.suite);
       ("obs", Test_obs.suite);
       ("keyed_props", Test_keyed_props.suite);
+      ("kernel_props", Test_kernel_props.suite);
       ("benchdiff", Test_benchdiff.suite);
     ]

@@ -328,6 +328,50 @@ let test_rejects_bad_arrival_times () =
   let m = run [ 3.; 1.; 2.; 1. ] in
   Alcotest.(check int) "unsorted arrivals all processed" 4 m.Sim_metrics.items_processed
 
+(* Timing values are checked once, in the kernel: a NaN, infinite or
+   negative delay, a bad controller interval or a non-finite state
+   transfer is rejected with the field that holds it. *)
+let test_rejects_bad_timing () =
+  let graph = Query.Builder.chain ~n_ops:2 ~cost:0.001 ~sel:1. () in
+  let dynamic =
+    {
+      Engine.interval = 1.;
+      migration_delay = 0.1;
+      drain_delay = 0.05;
+      state_delay = (fun _ -> 0.);
+      decide =
+        (fun ~time:_ ~utilization:_ ~op_cpu:_ ~rates:_ ~assignment ->
+          [ (0, 1 - assignment.(0)) ]);
+    }
+  in
+  let run ?(config = Engine.default_config) dynamic =
+    Engine.run ~graph ~assignment:[| 0; 1 |] ~caps:(Vec.of_list [ 1.; 1. ])
+      ~arrivals:[| List.init 1000 (fun i -> float_of_int i /. 100.) |]
+      ~config ~dynamic ~until:11. ()
+  in
+  let nan = Float.nan and default = Engine.default_config in
+  List.iter
+    (fun (what, config, dynamic) ->
+      Alcotest.check_raises what (Invalid_argument ("Engine.run: " ^ what)) (fun () ->
+          ignore (run ~config dynamic)))
+    [
+      ("net_delay = nan (must be finite and >= 0)", { default with net_delay = nan }, dynamic);
+      ("net_delay = -1 (must be finite and >= 0)", { default with net_delay = -1. }, dynamic);
+      ("drain_delay = nan (must be finite and >= 0)", default, { dynamic with drain_delay = nan });
+      ( "migration_delay = inf (must be finite and >= 0)",
+        default,
+        { dynamic with migration_delay = Float.infinity } );
+      ("interval = nan (must be finite and > 0)", default, { dynamic with interval = nan });
+      ("interval = 0 (must be finite and > 0)", default, { dynamic with interval = 0. });
+      ( "state_delay 1 = nan (must be finite)",
+        default,
+        { dynamic with state_delay = (fun op -> if op = 1 then nan else 0.) } );
+    ];
+  (* A negative state transfer is clamped to zero, and the run goes on. *)
+  let m = run { dynamic with state_delay = (fun _ -> -1.) } in
+  Alcotest.(check int) "all arrivals" 1000 m.Sim_metrics.arrivals;
+  Alcotest.(check bool) "migrated" true (m.Sim_metrics.migrations > 0)
+
 let test_simulate_traces () =
   let graph = Query.Builder.chain ~n_ops:2 ~cost:0.001 ~sel:1. () in
   let trace = Trace.create ~dt:1. (Array.make 10 50.) in
@@ -381,5 +425,6 @@ let suite =
     Alcotest.test_case "probe agrees with analysis" `Slow test_probe_agrees_with_analysis;
     Alcotest.test_case "simulate traces" `Quick test_simulate_traces;
     Alcotest.test_case "bad arrival times rejected" `Quick test_rejects_bad_arrival_times;
+    Alcotest.test_case "bad timing values rejected" `Quick test_rejects_bad_timing;
     QCheck_alcotest.to_alcotest prop_conservation_single_op;
   ]

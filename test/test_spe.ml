@@ -465,6 +465,50 @@ let test_dist_executor_matches_logical () =
 (* Tuple timestamps are checked at the edge: a NaN, infinite or
    negative timestamp is rejected with the stream and list index that
    hold it. *)
+(* Timing values are checked once, in the kernel, naming the field:
+   the same rule as {!Dsim.Engine}'s. *)
+let test_dist_executor_rejects_bad_timing () =
+  let network =
+    Network.create ~n_inputs:1
+      ~ops:
+        [
+          (Sop.filter (fun _ -> true), [ Graph.Sys_input 0 ]);
+          (Sop.map (fun t -> t), [ Graph.Op_output 0 ]);
+        ]
+      ()
+  in
+  let run ?(config = Spe.Dist_executor.default_config) timing =
+    Spe.Dist_executor.run ~network ~assignment:[| 0; 1 |]
+      ~caps:(Linalg.Vec.of_list [ 1.; 1. ])
+      ~cost:(fun _ _ -> 1e-3)
+      ~inputs:
+        [| List.init 1000 (fun i -> packet ~ts:(float_of_int i /. 100.) ~bytes:1 ~proto:"tcp") |]
+      ~config ~timing
+      ~migrations:[ (2., [ (0, 1) ]) ]
+      ~until:11. ()
+  in
+  let nan = Float.nan
+  and default = Spe.Dist_executor.default_config
+  and timing = Spe.Dist_executor.default_timing in
+  List.iter
+    (fun (what, config, timing) ->
+      Alcotest.check_raises what (Invalid_argument ("Dist_executor.run: " ^ what)) (fun () ->
+          ignore (run ~config timing)))
+    [
+      ("net_delay = nan (must be finite and >= 0)", { default with net_delay = nan }, timing);
+      ("net_delay = -1 (must be finite and >= 0)", { default with net_delay = -1. }, timing);
+      ("drain_delay = nan (must be finite and >= 0)", default, { timing with drain_delay = nan });
+      ( "handoff_delay = -inf (must be finite and >= 0)",
+        default,
+        { timing with handoff_delay = Float.neg_infinity } );
+      ( "state_delay 0 = inf (must be finite)",
+        default,
+        { timing with state_delay = (fun op -> if op = 0 then Float.infinity else 0.) } );
+    ];
+  let r = run timing in
+  Alcotest.(check int) "all arrivals" 1000 r.Spe.Dist_executor.arrivals;
+  Alcotest.(check int) "migrated" 1 r.Spe.Dist_executor.migrations
+
 let test_dist_executor_rejects_bad_timestamps () =
   let network =
     Network.create ~n_inputs:2
@@ -726,6 +770,8 @@ let suite =
       test_dist_executor_matches_logical;
     Alcotest.test_case "dist executor utilization" `Quick
       test_dist_executor_utilization;
+    Alcotest.test_case "dist executor rejects bad timing" `Quick
+      test_dist_executor_rejects_bad_timing;
     Alcotest.test_case "dist executor rejects bad timestamps" `Quick
       test_dist_executor_rejects_bad_timestamps;
     Alcotest.test_case "dist executor join costing" `Quick
