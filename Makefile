@@ -26,12 +26,12 @@ check:
 	$(MAKE) bench-ladder
 	$(MAKE) benchdiff
 
-# rodlint over lib/ and bin/ (parse-tree rules), rodscan over the
-# library typedtrees (interprocedural determinism taint, parallel race
-# lint, hot-path allocation check), rodproto (migration-protocol
-# typestate + gated-mutation analysis) and rodunits (dimensional
-# analysis of the load-model arithmetic) — see DESIGN.md §10, §13 and
-# §15 for the rule catalogues and escape hatches.
+# The four passes of tools/rodcheck over lib/ and bin/: lint
+# (parse-tree rules), scan (interprocedural determinism taint, parallel
+# race lint, hot-path allocation check), proto (migration-protocol
+# typestate + gated-mutation analysis) and units (dimensional analysis
+# of the load-model arithmetic) — see DESIGN.md §8, §10, §13 and §15
+# for the driver, the rule catalogues and the escape hatches.
 lint:
 	dune build @lint @rodscan @rodproto @rodunits
 
@@ -47,10 +47,10 @@ rodproto:
 rodunits:
 	dune build @rodunits
 
-# One SARIF report for the whole static-analysis suite: run all four
-# analyzers with --sarif and merge the per-tool logs into
-# rod-analysis.sarif (one run per tool), the artifact the CI workflow
-# uploads.  Exit status reflects the analyzers: any finding fails.
+# One SARIF report for the whole static-analysis suite: one rodcheck
+# run over all four passes writes rod-analysis.sarif (one run per
+# pass), the artifact the CI workflow uploads.  Exit status reflects
+# the passes: any finding fails.
 sarif:
 	dune build @sarif
 

@@ -1,7 +1,5 @@
-(* The allow-file machinery shared by every analyzer driver.  Formerly
-   private to Lint and copy-pasted across the rodlint/rodscan/rodproto
-   mains; extracted so the parse/normalize/stale/prune semantics are
-   defined exactly once. *)
+(* The allow-file machinery of every rodcheck pass, defined once: parse,
+   normalize, stale detection and pruning. *)
 
 type entry = {
   path_suffix : string;
@@ -53,13 +51,13 @@ let read_file path =
 
 let load path = of_string ~source:path (read_file path)
 
-let load_or_exit ~tool = function
-  | None -> empty
-  | Some file -> (
+let load_or_exit ~tool file =
+  if not (Sys.file_exists file) then empty
+  else
     try load file
     with Failure msg ->
       Printf.eprintf "%s: %s\n" tool msg;
-      exit 2)
+      exit 2
 
 let suffix_matches ~suffix s =
   let ls = String.length s and lx = String.length suffix in
@@ -72,7 +70,7 @@ let prefix_matches ~prefix s =
 (* Paths reach the allowlist from two spellings of the same file:
    [dune build @lint] hands the linter build-relative paths
    ([lib/x.ml], or [_build/default/lib/x.ml] when someone points it at
-   the build tree), while a direct [tools/rodlint ./lib] invocation
+   the build tree), while a direct [rodcheck --pass lint ./lib] run
    produces [./lib/x.ml].  Strip both decorations before matching so an
    entry written one way cannot silently stop matching the other. *)
 let normalize_path p =
@@ -120,21 +118,17 @@ let prune t text =
   |> List.filteri (fun i _ -> not (List.mem (i + 1) stale))
   |> String.concat "\n"
 
-let fix_exit ~tool ~allow_file t ~rendered_kept =
-  match allow_file with
-  | None ->
-    Printf.eprintf "%s: --fix requires --allow FILE\n" tool;
-    exit 2
-  | Some file ->
-    (* Pruned allowlist to stdout (so the caller can redirect it over
-       the stale file); diagnostics to stderr. *)
-    print_string (prune t (read_file file));
-    List.iter prerr_endline rendered_kept;
-    List.iter
-      (fun (path, rule) ->
-        Printf.eprintf "pruned stale allowlist entry: %s %s\n" path rule)
-      (unused t);
-    exit (if rendered_kept <> [] then 1 else 0)
+let fix_exit ~allow_file t ~rendered_kept =
+  (* Pruned allowlist to stdout (so the caller can redirect it over
+     the stale file); diagnostics to stderr. *)
+  if Sys.file_exists allow_file then
+    print_string (prune t (read_file allow_file));
+  List.iter prerr_endline rendered_kept;
+  List.iter
+    (fun (path, rule) ->
+      Printf.eprintf "pruned stale allowlist entry: %s %s\n" path rule)
+    (unused t);
+  exit (if rendered_kept <> [] then 1 else 0)
 
 let print_stale t =
   List.iter

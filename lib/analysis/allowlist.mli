@@ -1,10 +1,11 @@
-(** Shared allow-file machinery for the four analyzer drivers
-    (rodlint, rodscan, rodproto, rodunits).
+(** Allow-file machinery for the four passes of the one analyzer
+    driver, [rodcheck] (lint, scan, proto, units), each reading
+    [rod<pass>.allow].
 
     One entry per line, [<path-suffix> <rule-prefix> # justification]; a
     finding is suppressed when some entry's path is a suffix of the
     finding's (normalized) path and its rule a prefix of the finding's
-    rule.  Entries that suppress nothing are stale — every driver fails
+    rule.  Entries that suppress nothing are stale — the driver fails
     on them and prunes them under [--fix] — so an allowlist cannot rot.
 
     The module is deliberately finding-type-agnostic: matching works on
@@ -27,16 +28,16 @@ val of_string : source:string -> string -> t
 val load : string -> t
 (** {!of_string} over a file's contents, [source] = the path. *)
 
-val load_or_exit : tool:string -> string option -> t
-(** Driver entry point: [None] is {!empty}; [Some file] is {!load},
-    printing the aggregated malformed-line failure to stderr and
-    exiting 2 on a broken file. *)
+val load_or_exit : tool:string -> string -> t
+(** Driver entry point: a missing file is {!empty}; otherwise {!load},
+    printing the aggregated malformed-line failure to stderr (after
+    [tool]) and exiting 2 on a broken file. *)
 
 val normalize_path : string -> string
 (** Strip leading [./] and [_build/default/] decorations (repeatedly,
     in any order) so the same file matches the same allowlist entry
-    under [dune build @lint], a direct [tools/rodlint ./lib] run, and a
-    build-tree invocation. *)
+    under [dune build @lint], a direct [rodcheck --pass lint ./lib]
+    run, and a build-tree invocation. *)
 
 val allows : t -> file:string -> rule:string -> bool
 (** Does some entry suppress a finding at [(file, rule)]?  Marks the
@@ -52,17 +53,16 @@ val unused : t -> (string * string) list
 val prune : t -> string -> string
 (** [prune t text] returns [text] (the allowlist file's raw contents)
     with the source line of every {e unused} entry removed and
-    everything else untouched.  Backs the drivers' [--fix] flag; call
+    everything else untouched.  Backs the driver's [--fix] flag; call
     after {!split} so live entries are marked used. *)
 
 val read_file : string -> string
 
-val fix_exit : tool:string -> allow_file:string option -> t -> rendered_kept:string list -> 'a
-(** The drivers' [--fix] mode: requires [allow_file] (exit 2
-    otherwise); prints the pruned allowlist to stdout (so the caller
-    can redirect it over the stale file), the kept findings and the
-    pruned-entry notes to stderr; exits 1 when findings remain, else
-    0.  Never returns. *)
+val fix_exit : allow_file:string -> t -> rendered_kept:string list -> 'a
+(** The driver's [--fix] mode: prints the pruned [allow_file] (nothing
+    when it is missing) to stdout, so the caller can redirect it over
+    the stale file, and the kept findings and the pruned-entry notes to
+    stderr; exits 1 when findings remain, else 0.  Never returns. *)
 
 val print_stale : t -> unit
 (** One ["stale allowlist entry: <path> <rule> (suppresses nothing)"]

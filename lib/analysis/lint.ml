@@ -366,27 +366,5 @@ let lint_file ?hot ?obs path =
   in
   lint_string ?hot ?obs ~filename:path source
 
-(* --- allowlist ---
-
-   The machinery itself lives in {!Allowlist} (it is shared by all four
-   analyzer drivers); these are compatibility delegations so existing
-   callers and tests of the original Lint API keep working. *)
-
-type allowlist = Allowlist.t
-
-let empty_allowlist = Allowlist.empty
-let allowlist_of_string = Allowlist.of_string
-let load_allowlist = Allowlist.load
-let normalize_path = Allowlist.normalize_path
-
-let split_allowed allowlist diags =
-  Allowlist.split
-    ~file:(fun (d : diag) -> d.file)
-    ~rule:(fun (d : diag) -> d.rule)
-    allowlist diags
-
-let unused_entries = Allowlist.unused
-let prune = Allowlist.prune
-
 let render (d : diag) =
   Printf.sprintf "%s:%d:%d: [%s] %s" d.file d.line d.col d.rule d.message

@@ -66,42 +66,5 @@ val lint_string : ?hot:bool -> ?obs:bool -> filename:string -> string -> diag li
 
 val lint_file : ?hot:bool -> ?obs:bool -> string -> diag list
 
-type allowlist = Allowlist.t
-(** Entries of [(path suffix, rule prefix)]; a diagnostic is suppressed
-    when some entry's path is a suffix of the diagnostic's path and its
-    rule a prefix of the diagnostic's rule.  The machinery lives in the
-    shared {!Allowlist} module (all four analyzer drivers use it); the
-    values below are kept as delegations for existing callers. *)
-
-val allowlist_of_string : source:string -> string -> allowlist
-(** Parse allowlist text: one [<path> <rule> # justification] entry per
-    line; blank lines and [#]-leading comment lines ignored.
-    @raise Failure listing {e every} malformed line (with [source] and
-    line numbers), one per output line, so a broken file costs one run
-    to fix. *)
-
-val load_allowlist : string -> allowlist
-
-val empty_allowlist : allowlist
-
-val normalize_path : string -> string
-(** Strip leading [./] and [_build/default/] decorations (repeatedly,
-    in any order) so the same file matches the same allowlist entry
-    under [dune build @lint], a direct [tools/rodlint ./lib] run, and a
-    build-tree invocation. *)
-
-val split_allowed : allowlist -> diag list -> diag list * diag list
-(** [(kept, suppressed)]; marks matching entries as used. *)
-
-val unused_entries : allowlist -> (string * string) list
-(** Entries that suppressed nothing since loading, as
-    [(path, rule)] pairs — stale allowlist hygiene. *)
-
-val prune : allowlist -> string -> string
-(** [prune allowlist text] returns [text] (the allowlist file's raw
-    contents) with the source line of every {e unused} entry removed
-    and everything else untouched.  Backs the drivers' [--fix] flag;
-    call after {!split_allowed} so live entries are marked used. *)
-
 val render : diag -> string
 (** [file:line:col: [rule] message] — the compiler-style format. *)

@@ -1,4 +1,4 @@
-(* Minimal SARIF 2.1.0 emitter shared by rodscan and `rod_cli analyze`.
+(* Minimal SARIF 2.1.0 emitter shared by rodcheck and `rod_cli analyze`.
    Hand-rolled JSON, matching the style of Plan_check.to_json — the
    repo deliberately carries no JSON dependency. *)
 
@@ -33,17 +33,15 @@ let escape s =
     s;
   Buffer.contents buffer
 
-let to_string ~tool ?(tool_version = "1.0.0") ?(rules = []) results =
-  let buffer = Buffer.create 1024 in
+type run = { tool : string; rules : rule list; results : result list }
+
+let add_run buffer run =
   let out fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
-  out "{\n";
-  out "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-  out "  \"version\": \"2.1.0\",\n";
-  out "  \"runs\": [\n    {\n";
+  out "    {\n";
   out "      \"tool\": {\n        \"driver\": {\n";
-  out "          \"name\": \"%s\",\n" (escape tool);
-  out "          \"version\": \"%s\"" (escape tool_version);
-  if rules <> [] then begin
+  out "          \"name\": \"%s\",\n" (escape run.tool);
+  out "          \"version\": \"1.0.0\"";
+  if run.rules <> [] then begin
     out ",\n          \"rules\": [\n";
     List.iteri
       (fun idx r ->
@@ -53,8 +51,8 @@ let to_string ~tool ?(tool_version = "1.0.0") ?(rules = []) results =
             (escape r.short_desc);
         if r.help_uri <> "" then
           out ", \"helpUri\": \"%s\"" (escape r.help_uri);
-        out " }%s\n" (if idx = List.length rules - 1 then "" else ","))
-      rules;
+        out " }%s\n" (if idx = List.length run.rules - 1 then "" else ","))
+      run.rules;
     out "          ]\n"
   end
   else out "\n";
@@ -84,13 +82,28 @@ let to_string ~tool ?(tool_version = "1.0.0") ?(rules = []) results =
           | Some col -> out ", \"startColumn\": %d" (col + 1));
           out " }");
         out "\n              }\n            }\n          ]");
-      out "\n        }%s\n" (if idx = List.length results - 1 then "" else ","))
-    results;
-  out "      ]\n    }\n  ]\n}\n";
+      out "\n        }%s\n"
+        (if idx = List.length run.results - 1 then "" else ","))
+    run.results;
+  out "      ]\n    }"
+
+let to_string runs =
+  let buffer = Buffer.create 1024 in
+  let out fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
+  out "{\n";
+  out "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n";
+  out "  \"version\": \"2.1.0\",\n";
+  out "  \"runs\": [\n";
+  List.iteri
+    (fun idx run ->
+      if idx > 0 then out ",\n";
+      add_run buffer run)
+    runs;
+  out "\n  ]\n}\n";
   Buffer.contents buffer
 
-let write ~path ~tool ?tool_version ?rules results =
+let write ~path runs =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ~tool ?tool_version ?rules results))
+    (fun () -> output_string oc (to_string runs))

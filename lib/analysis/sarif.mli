@@ -1,6 +1,6 @@
-(** Minimal SARIF 2.1.0 emitter, shared by [tools/rodscan] and
+(** Minimal SARIF 2.1.0 emitter, shared by [tools/rodcheck] and
     [rod_cli analyze --sarif] so both static-analysis surfaces speak
-    the same machine-readable format (one [run] per invocation, one
+    the same machine-readable format (one [run] per analyzer, one
     [result] per finding). *)
 
 type result = {
@@ -18,9 +18,8 @@ type rule = {
   help_uri : string;
       (** Documentation link (a [DESIGN.md] anchor); [""] omits it. *)
 }
-(** Entry of the driver's rule table ([tool.driver.rules]), shared by
-    all three analysis tools so code-scanning UIs can link findings
-    back to the rule catalogue. *)
+(** Entry of a run's rule table ([tool.driver.rules]), so
+    code-scanning UIs can link findings back to the rule catalogue. *)
 
 val rule : ?help_uri:string -> string -> string -> rule
 (** [rule ?help_uri id short_desc]. *)
@@ -30,22 +29,14 @@ val rules_of_catalogue : help_uri:string -> (string * string) list -> rule list
     and [Proto.rules] export) into SARIF rule metadata sharing one
     documentation anchor. *)
 
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslashes, control chars). *)
+type run = {
+  tool : string;  (** [tool.driver.name], e.g. ["rodscan"]. *)
+  rules : rule list;  (** The driver's rule table; [[]] omits it. *)
+  results : result list;
+}
+(** One analyzer's run. *)
 
-val to_string :
-  tool:string ->
-  ?tool_version:string ->
-  ?rules:rule list ->
-  result list ->
-  string
-(** Render one SARIF run.  [rules] populates the driver's rule table
-    with ids, short descriptions and help URIs. *)
+val to_string : run list -> string
+(** Render one SARIF document holding the runs in the order given. *)
 
-val write :
-  path:string ->
-  tool:string ->
-  ?tool_version:string ->
-  ?rules:rule list ->
-  result list ->
-  unit
+val write : path:string -> run list -> unit

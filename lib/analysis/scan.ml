@@ -153,7 +153,7 @@ let unit_of_structure ~modname ~source ~text str =
     (String.split_on_char '\n' text);
   {
     canon = canon_unit_name modname;
-    source = Lint.normalize_path source;
+    source = Allowlist.normalize_path source;
     text;
     str;
     hot = contains_substring text Lint.hot_marker;
@@ -468,7 +468,7 @@ let add_diag ctx (u : unit_info) (loc : Location.t) rule fmt =
 
 let loc_string (loc : Location.t) =
   Printf.sprintf "%s:%d"
-    (Lint.normalize_path loc.loc_start.Lexing.pos_fname)
+    (Allowlist.normalize_path loc.loc_start.Lexing.pos_fname)
     loc.loc_start.Lexing.pos_lnum
 
 let det_pass ctx defs summaries taint =

@@ -41,7 +41,7 @@
     the per-site escape hatch; a hatch that suppresses nothing is
     itself reported ([alloc/unused-hatch]) so hatches cannot rot.
 
-    Findings reuse {!Lint.diag} and the {!Lint.allowlist} machinery
+    Findings reuse {!Lint.diag} and the {!Allowlist} machinery
     (path-suffix/rule-prefix entries with justifications; stale entries
     fail), so [rodscan.allow] works exactly like [rodlint.allow]. *)
 
@@ -54,7 +54,7 @@ val alloc_ok_marker : string
 
 val expect_marker : string
 (** ["rodscan-expect:"] — declares a fixture's expected rule ids (used
-    by [tools/rodscan --fixtures]). *)
+    by [rodcheck --pass scan --fixtures]). *)
 
 val passes : string list
 (** Names of the analysis passes, for [--stats]. *)
@@ -122,7 +122,7 @@ val scan_units : unit_info list -> Lint.diag list * scan_stats
 (** Run all three passes over the units {e together} (the taint pass is
     interprocedural across units).  Diagnostics are sorted by
     [(file, line, col, rule)] and deduplicated; allowlist filtering is
-    the caller's job via {!Lint.split_allowed}. *)
+    the caller's job via {!Allowlist.split}. *)
 
 (** {2 Call-graph surface shared with {!Proto}}
 

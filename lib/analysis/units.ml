@@ -201,8 +201,19 @@ let find_substring line needle =
   in
   scan 0
 
+(* A marker counts only inside a comment: a comment opener must come
+   before it on the same line, so a string literal that merely spells
+   the marker is no marker. *)
+let find_marker line marker =
+  match find_substring line "(*" with
+  | None -> None
+  | Some c ->
+    let from = c + 2 in
+    find_substring (String.sub line from (String.length line - from)) marker
+    |> Option.map (( + ) from)
+
 let rest_after line marker =
-  match find_substring line marker with
+  match find_marker line marker with
   | None -> None
   | Some i ->
     let rest =
@@ -304,7 +315,7 @@ let parse_iface ~canon ~file text =
   let markers = Hashtbl.create 16 in
   List.iteri
     (fun idx line ->
-      match find_substring line units_marker with
+      match find_marker line units_marker with
       | None -> ()
       | Some i ->
         let rest = Option.get (rest_after line units_marker) in

@@ -56,7 +56,7 @@ val units_marker : string
 
 val expect_marker : string
 (** Declares a fixture's expected rule ids (used by
-    [tools/rodunits --fixtures]). *)
+    [rodcheck --pass units --fixtures]). *)
 
 val expect_of_unit : Scan.unit_info -> string list
 (** The rule ids a fixture expects, from its {!expect_marker} comments
@@ -139,4 +139,4 @@ val check_units :
     in-memory tests inject a closure).  Interface-side findings
     (boundary, bad markers) carry the [.mli] path.  Diagnostics are
     sorted by [(file, line, col, rule)] and deduplicated; allowlist
-    filtering is the caller's job via {!Lint.split_allowed}. *)
+    filtering is the caller's job via {!Allowlist.split}. *)

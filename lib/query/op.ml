@@ -34,6 +34,8 @@ let arity op =
   | Var_selectivity _ -> 1
 
 let check_positive what x =
+  if not (Float.is_finite x) then
+    invalid_arg (Printf.sprintf "Op: non-finite %s (%g)" what x);
   if x < 0. then invalid_arg (Printf.sprintf "Op: negative %s (%g)" what x)
 
 let make_linear ?(name = "op") ?(xfer = 0.) ~costs ~selectivities () =

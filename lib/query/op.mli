@@ -61,6 +61,9 @@ type t = {
 val arity : t -> int
 (** Number of input arcs the operator expects. *)
 
+(** Every constructor raises [Invalid_argument], naming the field, on a
+    negative or non-finite cost, selectivity, window or transfer cost. *)
+
 val filter : ?name:string -> ?xfer:float -> cost:float -> sel:float -> unit -> t
 (* rodunits: cost:load-coeff -> sel:1 -> _ *)
 (** Single-input, selectivity in [0,1]. *)

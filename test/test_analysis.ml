@@ -7,6 +7,7 @@ module Vec = Linalg.Vec
 module Mat = Linalg.Mat
 module Plan_check = Analysis.Plan_check
 module Lint = Analysis.Lint
+module Allowlist = Analysis.Allowlist
 
 let codes report = List.map (fun d -> d.Plan_check.code) report.Plan_check.diags
 
@@ -279,23 +280,86 @@ let test_lint_parse_error () =
 let test_allowlist () =
   let diags = Lint.lint_file "lint_fixtures/det_violating.ml" in
   let allow =
-    Lint.allowlist_of_string ~source:"test.allow"
+    Allowlist.of_string ~source:"test.allow"
       "# comment line\n\
        det_violating.ml determinism/ # fixtures are allowed to violate\n\
        nowhere.ml hot/ # never matches\n"
   in
-  let kept, suppressed = Lint.split_allowed allow diags in
+  let kept, suppressed =
+    Allowlist.split
+      ~file:(fun (d : Lint.diag) -> d.file)
+      ~rule:(fun (d : Lint.diag) -> d.rule)
+      allow diags
+  in
   Alcotest.(check int) "all suppressed" 0 (List.length kept);
   Alcotest.(check int) "four suppressed" 4 (List.length suppressed);
   Alcotest.(check (list (pair string string)))
     "stale entry reported"
     [ ("nowhere.ml", "hot/") ]
-    (Lint.unused_entries allow);
+    (Allowlist.unused allow);
   Alcotest.(check bool) "malformed entry rejected" true
-    (match Lint.allowlist_of_string ~source:"bad.allow" "just-one-token\n" with
+    (match Allowlist.of_string ~source:"bad.allow" "just-one-token\n" with
     | _ -> false
     | exception Failure message ->
       String.length message > 0 && String.sub message 0 9 = "bad.allow")
+
+(* One SARIF document carries every analyzer's run.  Each run's
+   [ruleId] count must match its results even when a message holds the
+   characters a naive bracket scanner would trip on. *)
+let test_sarif_multi_run () =
+  let result rule_id message =
+    {
+      Analysis.Sarif.rule_id;
+      level = "error";
+      message;
+      file = Some "lib/a.ml";
+      line = Some 1;
+      col = Some 0;
+    }
+  in
+  let doc =
+    Analysis.Sarif.to_string
+      [
+        {
+          Analysis.Sarif.tool = "rodlint";
+          rules = [];
+          results =
+            [ result "hot/float-eq" "a ] bracket, a \"quote\" and \"ruleId\"" ];
+        };
+        {
+          Analysis.Sarif.tool = "rodunits";
+          rules = [ Analysis.Sarif.rule "units/mixed-add" "mixed add" ];
+          results =
+            [
+              result "units/mixed-add" "]]\"";
+              result "units/mixed-add" "plain";
+            ];
+        };
+      ]
+  in
+  let occurrences needle hay =
+    let nl = String.length needle in
+    let rec go i acc =
+      if i + nl > String.length hay then List.rev acc
+      else if String.sub hay i nl = needle then go (i + 1) (i :: acc)
+      else go (i + 1) acc
+    in
+    go 0 []
+  in
+  let count needle hay = List.length (occurrences needle hay) in
+  Alcotest.(check int) "one runs key" 1 (count "\"runs\"" doc);
+  match occurrences "\"tool\": {" doc with
+  | [ first; second ] ->
+    let run_text lo hi = String.sub doc lo (hi - lo) in
+    let lint = run_text first second
+    and units = run_text second (String.length doc) in
+    Alcotest.(check bool) "rodlint first" true
+      (count "\"name\": \"rodlint\"" lint = 1);
+    Alcotest.(check bool) "rodunits second" true
+      (count "\"name\": \"rodunits\"" units = 1);
+    Alcotest.(check int) "rodlint ruleIds" 1 (count "\"ruleId\"" lint);
+    Alcotest.(check int) "rodunits ruleIds" 2 (count "\"ruleId\"" units)
+  | runs -> Alcotest.failf "expected two runs, found %d" (List.length runs)
 
 let suite =
   [
@@ -324,4 +388,6 @@ let suite =
       test_lint_hot_marker_detection;
     Alcotest.test_case "lint: parse error" `Quick test_lint_parse_error;
     Alcotest.test_case "lint: allowlist" `Quick test_allowlist;
+    Alcotest.test_case "sarif: one document, many runs" `Quick
+      test_sarif_multi_run;
   ]

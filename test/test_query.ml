@@ -36,6 +36,17 @@ let test_example2_matrix () =
   check_vec "o4" (Vec.of_list [ 0.; 2. ]) (Mat.row lo 3);
   check_vec "l" (Vec.of_list [ 10.; 11. ]) (Load_model.total_coefficients model)
 
+let test_op_rejects_non_finite () =
+  Alcotest.check_raises "NaN filter cost"
+    (Invalid_argument "Op: non-finite cost (nan)") (fun () ->
+      ignore (Op.filter ~cost:nan ~sel:0.5 ()));
+  Alcotest.check_raises "infinite join window"
+    (Invalid_argument "Op: non-finite window (inf)") (fun () ->
+      ignore (Op.join ~window:infinity ~cost_per_pair:1. ~sel:0.1 ()));
+  Alcotest.check_raises "NaN var_sel lower selectivity"
+    (Invalid_argument "Op: non-finite selectivity (nan)") (fun () ->
+      ignore (Op.var_sel ~cost:1. ~sel_lo:nan ~sel_hi:1. ()))
+
 let test_graph_validation () =
   Alcotest.check_raises "cycle detected"
     (Invalid_argument "Graph: cycle detected") (fun () ->
@@ -316,4 +327,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_randgraph_costs_in_range;
     QCheck_alcotest.to_alcotest prop_randgraph_half_unit_selectivity;
     QCheck_alcotest.to_alcotest prop_load_columns_positive;
+    Alcotest.test_case "op rejects non-finite values" `Quick
+      test_op_rejects_non_finite;
   ]

@@ -5,6 +5,7 @@
 
 module Scan = Analysis.Scan
 module Lint = Analysis.Lint
+module Allowlist = Analysis.Allowlist
 module Sarif = Analysis.Sarif
 
 (* --- taint lattice laws ------------------------------------------- *)
@@ -115,14 +116,14 @@ let prop_solve_matches_model =
 (* --- allowlist path normalization (shared with rodlint) ------------ *)
 
 let test_normalize_path () =
-  Alcotest.(check string) "plain" "lib/a.ml" (Lint.normalize_path "lib/a.ml");
-  Alcotest.(check string) "dot-slash" "lib/a.ml" (Lint.normalize_path "./lib/a.ml");
+  Alcotest.(check string) "plain" "lib/a.ml" (Allowlist.normalize_path "lib/a.ml");
+  Alcotest.(check string) "dot-slash" "lib/a.ml" (Allowlist.normalize_path "./lib/a.ml");
   Alcotest.(check string) "build-relative" "lib/a.ml"
-    (Lint.normalize_path "_build/default/lib/a.ml");
+    (Allowlist.normalize_path "_build/default/lib/a.ml");
   Alcotest.(check string) "stacked prefixes" "lib/a.ml"
-    (Lint.normalize_path "./_build/default/./lib/a.ml");
+    (Allowlist.normalize_path "./_build/default/./lib/a.ml");
   Alcotest.(check string) "infix untouched" "x/_build/default/lib/a.ml"
-    (Lint.normalize_path "x/_build/default/lib/a.ml")
+    (Allowlist.normalize_path "x/_build/default/lib/a.ml")
 
 let test_allowlist_normalized_match () =
   let diag file = { Lint.file; line = 1; col = 0; rule = "det/taint"; message = "m" } in
@@ -130,16 +131,19 @@ let test_allowlist_normalized_match () =
   let oc = open_out allow in
   output_string oc "./lib/chaos/oracle.ml det # justified\n";
   close_out oc;
-  let allowlist = Lint.load_allowlist allow in
+  let allowlist = Allowlist.load allow in
   let kept, suppressed =
-    Lint.split_allowed allowlist
+    Allowlist.split
+      ~file:(fun (d : Lint.diag) -> d.file)
+      ~rule:(fun (d : Lint.diag) -> d.rule)
+      allowlist
       [ diag "_build/default/lib/chaos/oracle.ml"; diag "lib/other.ml" ]
   in
   Sys.remove allow;
   Alcotest.(check int) "suppressed across spellings" 1 (List.length suppressed);
   Alcotest.(check int) "kept" 1 (List.length kept);
   Alcotest.(check int) "no stale entries" 0
-    (List.length (Lint.unused_entries allowlist))
+    (List.length (Allowlist.unused allowlist))
 
 (* --- the passes, via in-memory typechecked sources ----------------- *)
 
@@ -274,16 +278,23 @@ let test_alloc_cold_module () =
 
 let test_sarif () =
   let out =
-    Sarif.to_string ~tool:"rodscan"
-      ~rules:[ Sarif.rule ~help_uri:"DESIGN.md#10" "det/taint" "taint description" ]
+    Sarif.to_string
       [
         {
-          Sarif.rule_id = "det/taint";
-          level = "error";
-          message = "a \"quoted\" message";
-          file = Some "lib/a.ml";
-          line = Some 3;
-          col = Some 7;
+          Sarif.tool = "rodscan";
+          rules =
+            [ Sarif.rule ~help_uri:"DESIGN.md#10" "det/taint" "taint description" ];
+          results =
+            [
+              {
+                Sarif.rule_id = "det/taint";
+                level = "error";
+                message = "a \"quoted\" message";
+                file = Some "lib/a.ml";
+                line = Some 3;
+                col = Some 7;
+              };
+            ];
         };
       ]
   in

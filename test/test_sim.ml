@@ -47,24 +47,29 @@ let test_event_queue_many () =
 
 (* Random interleavings of [push] and [take] over heavily duplicated
    times come out in (time, insertion) order: every [take] returns the
-   first element of a stable sort of the events pushed and not yet
-   taken. *)
+   least pending event under that order.  The model is a map keyed by
+   (time, id), ids counting insertions, so each step costs O(log n). *)
+module Pending = Map.Make (struct
+  type t = float * int
+
+  let compare (t1, i1) (t2, i2) =
+    match Float.compare t1 t2 with 0 -> Int.compare i1 i2 | c -> c
+end)
+
 let prop_event_queue_stable_order =
   QCheck.Test.make ~count:300 ~name:"event queue: (time, insertion) order"
     QCheck.(list (option (int_bound 4)))
     (fun ops ->
       let q = Event_queue.create () in
-      let pending = ref [] (* (time, id), in insertion order *) in
+      let pending = ref Pending.empty in
       let next_id = ref 0 in
       let take_ok () =
-        match
-          List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !pending
-        with
-        | [] -> true
-        | ((t, id) as first) :: _ ->
+        match Pending.min_binding_opt !pending with
+        | None -> true
+        | Some (((t, id) as first), ()) ->
           let top = Event_queue.top_time q in
           let got = Event_queue.take q in
-          pending := List.filter (fun e -> e != first) !pending;
+          pending := Pending.remove first !pending;
           top = t && got = id
       in
       List.for_all
@@ -72,12 +77,12 @@ let prop_event_queue_stable_order =
           | Some slot ->
             let time = float_of_int slot /. 2. in
             Event_queue.push q ~time !next_id;
-            pending := !pending @ [ (time, !next_id) ];
+            pending := Pending.add (time, !next_id) () !pending;
             incr next_id;
             true
           | None -> take_ok ())
         ops
-      && List.for_all (fun _ -> take_ok ()) !pending
+      && List.for_all (fun _ -> take_ok ()) (Pending.bindings !pending)
       && Event_queue.is_empty q
       && Event_queue.length q = 0)
 

@@ -1,10 +1,10 @@
 (* Tests of the dimensional analyzer (Analysis.Units): QCheck laws for
    the dimension group and the abstract-value lattice, parse/render
    round trips, every fixture under lint_fixtures/units re-checked
-   through in-memory typechecking (the same sources the rodunits
-   --fixtures self-test compiles), in-memory interface seeding through
-   an injected read_mli closure, and the shared Allowlist machinery the
-   four drivers sit on. *)
+   through in-memory typechecking (the same sources the @rodunits
+   fixture self-test compiles), in-memory interface seeding through an
+   injected read_mli closure, a marker spelled inside a string literal,
+   and the Allowlist machinery every rodcheck pass sits on. *)
 
 module Units = Analysis.Units
 module Dim = Analysis.Units.Dim
@@ -204,7 +204,7 @@ let test_join_mixed_dims_conflict () =
 
 (* --- the fixtures, via in-memory typechecking ---------------------- *)
 
-(* Every fixture pair the rodunits --fixtures self-test compiles is
+(* Every fixture pair the @rodunits fixture self-test compiles is
    re-checked here from Scan.unit_of_source, so a fixture regression
    fails dune runtest even when the @rodunits alias is not built.
    Interface-side findings carry the .mli path; fold them onto the .ml
@@ -321,6 +321,28 @@ let test_mem_unmarked_iface_silent () =
     (List.map (fun (d : Lint.diag) -> d.rule) diags);
   Alcotest.(check int) "not annotated" 0 stats.Units.ifaces_annotated
 
+let test_mem_marker_in_string () =
+  (* A string literal that spells the marker is code, not a marker: only
+     a marker after a comment opener counts.  The real ok-hatch below it
+     still parses and vouches for the mixed add. *)
+  let mli =
+    Printf.sprintf "val a : float %s\nval b : float %s\nval c : float %s\n"
+      (mk "sim-sec") (mk "rate") (mk "sim-sec")
+  in
+  let ml =
+    Printf.sprintf
+      "let banner = \"%s %%d units, %%d findings\"\n\
+       let a = 1.0\n\
+       let b = 2.0\n\
+       (* %s ok the hatch vouches for this add *)\n\
+       let c = a +. b\n"
+      Units.units_marker Units.units_marker
+  in
+  let diags, stats = check_mem [ ("memstr", ml, Some mli) ] in
+  Alcotest.(check (list string)) "no bad-marker, add hatched" []
+    (List.map (fun (d : Lint.diag) -> d.rule) diags);
+  Alcotest.(check int) "hatch used" 1 stats.Units.hatches_used
+
 (* --- the shared Allowlist machinery -------------------------------- *)
 
 let contains ~needle hay =
@@ -432,4 +454,6 @@ let suite =
         test_allowlist_match_and_stale;
       Alcotest.test_case "allowlist split and prune" `Quick
         test_allowlist_split_and_prune;
+      Alcotest.test_case "marker inside a string literal" `Quick
+        test_mem_marker_in_string;
     ]
