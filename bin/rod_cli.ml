@@ -788,24 +788,8 @@ let analyze_cmd =
       else Format.printf "%a@." Analysis.Plan_check.pp report;
       Option.iter
         (fun path ->
-          let results =
-            List.map
-              (fun (d : Analysis.Plan_check.diag) ->
-                {
-                  Analysis.Sarif.rule_id = d.code;
-                  level =
-                    (match d.severity with
-                    | Analysis.Plan_check.Error -> "error"
-                    | Analysis.Plan_check.Warning -> "warning");
-                  message = d.message;
-                  file = Some file;
-                  line = None;
-                  col = None;
-                })
-              report.Analysis.Plan_check.diags
-          in
           Analysis.Sarif.write ~path
-            [ { Analysis.Sarif.tool = "rod-plan-check"; rules = []; results } ])
+            [ Analysis.Plan_check.sarif_run ~file report ])
         sarif;
       if Analysis.Plan_check.ok report then `Ok ()
       else `Error (false, Printf.sprintf "%s: plan rejected by static analysis" file)

@@ -11,15 +11,6 @@
       [Sys.time] make results depend on the clock.  The profiler is the
       one legitimate user and is allowlisted.
 
-    {b Parallel safety} (every file): a function literal passed to
-    [Pool.parallel_for] / [map_reduce] / [map_chunks] must not mutate
-    captured state except through the chunk-index idiom (writes to a
-    captured array are fine when the index involves a variable bound
-    inside the closure — the [for s = lo to hi - 1] pattern touching
-    disjoint ranges).  Flagged: [:=] / [incr] / [decr] on captured
-    refs, mutable-field assignment on captured records, and
-    [captured.(i) <- e] where [i] mentions no closure-bound variable.
-
     {b Hot-path hygiene} (only in files carrying a [rodlint: hot]
     marker comment):
     - [hot/poly-compare] — the polymorphic [compare] (use
@@ -28,8 +19,6 @@
     - [hot/float-eq] — [=] / [<>] where an operand is syntactically a
       float (float equality is almost always an epsilon bug, and
       polymorphic equality boxes).
-    - [hot/closure-in-loop] — a function literal inside a [for]/[while]
-      body allocates one closure per iteration.
 
     {b Telemetry discipline} (only in files carrying a [rodlint: obs]
     marker comment):
@@ -40,6 +29,11 @@
       it.  Instrumented modules must record through the [Obs] registry;
       string renderers ([sprintf], [ksprintf], [asprintf], fprintf to a
       buffer or channel) stay legal.
+
+    Closures handed to the domain pool and closures allocated in hot
+    loops are {!Scan}'s job ([race/*], [alloc/closure]): it sees them
+    on the typed tree, through aliases and helper calls.  Markers are
+    read by {!Marker}, so only a marker inside a comment counts.
 
     Diagnostics carry [file:line:col] positions.  An allowlist file
     suppresses known-good findings; every entry needs a justification
@@ -59,12 +53,17 @@ val hot_marker : string
 val obs_marker : string
 (** The magic comment substring ["rodlint: obs"]. *)
 
-val lint_string : ?hot:bool -> ?obs:bool -> filename:string -> string -> diag list
-(** Lint one compilation unit given as text.  [hot] and [obs] override
-    the marker autodetection.  A file that does not parse yields a
-    single [parse/error] diagnostic. *)
+val rules : (string * string) list
+(** [(rule id, short description)] catalogue, [parse/error] included. *)
 
-val lint_file : ?hot:bool -> ?obs:bool -> string -> diag list
+val sarif_rules : Sarif.rule list
+(** [rules] lifted to SARIF rule metadata. *)
+
+val lint_string : filename:string -> string -> diag list
+(** Lint one compilation unit given as text.  A file that does not
+    parse yields a single [parse/error] diagnostic. *)
+
+val lint_file : string -> diag list
 
 val render : diag -> string
 (** [file:line:col: [rule] message] — the compiler-style format. *)

@@ -34,6 +34,23 @@ let sarif_rules =
   Sarif.rules_of_catalogue
     ~help_uri:"DESIGN.md#8-static-analysis-rodanalysis" rules
 
+let sarif_run ~file report =
+  let result d =
+    {
+      Sarif.rule_id = d.code;
+      level = (match d.severity with Error -> "error" | Warning -> "warning");
+      message = d.message;
+      file = Some file;
+      line = None;
+      col = None;
+    }
+  in
+  {
+    Sarif.tool = "rod-plan-check";
+    rules = sarif_rules;
+    results = List.map result report.diags;
+  }
+
 let errors r = List.filter (fun d -> d.severity = Error) r.diags
 
 let warnings r = List.filter (fun d -> d.severity = Warning) r.diags

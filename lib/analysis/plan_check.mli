@@ -55,6 +55,10 @@ val rules : (string * string) list
 val sarif_rules : Sarif.rule list
 (** [rules] lifted to SARIF rule metadata (DESIGN.md §8 help URI). *)
 
+val sarif_run : file:string -> report -> Sarif.run
+(** The [rod-plan-check] SARIF run of one checked plan file, rule table
+    included. *)
+
 val errors : report -> diag list
 
 val warnings : report -> diag list

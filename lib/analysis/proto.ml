@@ -3,17 +3,15 @@
    analysis proving every deployed-assignment write is dominated by a
    Plan_check call.  Units opt in with a protocol marker and name their
    protocol state with role comments; see proto.mli for the rule
-   catalogue and marker grammar.  Like Scan, the marker strings are
-   assembled at runtime so this file's own source never matches
-   them. *)
+   catalogue and marker grammar. *)
 
 open Typedtree
 module SSet = Set.Make (String)
 
-let protocol_marker = "rodproto: " ^ "protocol"
-let role_marker = "rodproto: " ^ "role "
-let gated_by_marker = "rodproto: " ^ "gated-by "
-let expect_marker = "rodproto-" ^ "expect:"
+let protocol_marker = "rodproto: protocol"
+let role_marker = "rodproto: role "
+let gated_by_marker = "rodproto: gated-by "
+let expect_marker = "rodproto-expect:"
 let passes = [ "protocol-typestate"; "gated-mutation" ]
 
 let rules =
@@ -114,43 +112,8 @@ let role_of_string = function
   | "resume-event" -> Some Rresume
   | _ -> None
 
-let find_substring line needle =
-  let hl = String.length line and nl = String.length needle in
-  let rec scan i =
-    if i + nl > hl then None
-    else if String.sub line i nl = needle then Some i
-    else scan (i + 1)
-  in
-  scan 0
-
-let contains_substring haystack needle = find_substring haystack needle <> None
-
-(* The remainder of [line] after [marker], clipped at a comment
-   close. *)
-let rest_after line marker =
-  match find_substring line marker with
-  | None -> None
-  | Some i ->
-    let rest =
-      String.sub line
-        (i + String.length marker)
-        (String.length line - i - String.length marker)
-    in
-    Some
-      (match find_substring rest "*)" with
-      | Some j -> String.sub rest 0 j
-      | None -> rest)
-
 let token_after line marker =
-  match rest_after line marker with
-  | None -> None
-  | Some rest -> (
-    match
-      String.split_on_char ' ' (String.trim rest)
-      |> List.filter (fun t -> t <> "")
-    with
-    | t :: _ -> Some t
-    | [] -> None)
+  match Marker.tokens line marker with Some (t :: _) -> Some t | _ -> None
 
 type hatch = { fn : string; hline : int; mutable used : bool }
 
@@ -171,7 +134,7 @@ let meta_of_unit (u : Scan.unit_info) =
   List.iteri
     (fun idx line ->
       let ln = idx + 1 in
-      if contains_substring line protocol_marker && not !protocol then begin
+      if Marker.find line protocol_marker <> None && not !protocol then begin
         protocol := true;
         protocol_line := ln
       end;
@@ -194,14 +157,7 @@ let meta_of_unit (u : Scan.unit_info) =
   }
 
 let expect_of_unit (u : Scan.unit_info) =
-  String.split_on_char '\n' u.Scan.text
-  |> List.concat_map (fun line ->
-         match rest_after line expect_marker with
-         | None -> []
-         | Some rest ->
-           String.split_on_char ' ' rest
-           |> List.concat_map (String.split_on_char ',')
-           |> List.filter (fun t -> t <> ""))
+  Marker.expect expect_marker u.Scan.text
 
 let relevant u =
   let m = meta_of_unit u in
@@ -322,16 +278,6 @@ let merge a b =
     gated = a.gated && b.gated;
   }
 
-let ident_comps (e : expression) =
-  match e.exp_desc with
-  | Texp_ident (p, _, _) -> Scan.canon_of_path p
-  | _ -> []
-
-let rec last2 = function
-  | [ a; b ] -> Some (a, b)
-  | _ :: tl -> last2 tl
-  | [] -> None
-
 let pos_args args =
   List.filter_map
     (function Asttypes.Nolabel, Some a -> Some a | _ -> None)
@@ -355,7 +301,7 @@ let rec target_role env (e : expression) =
   | Texp_ident (Path.Pident id, _, _) ->
     Hashtbl.find_opt env.roles.idents (Ident.unique_name id)
   | Texp_field (_, _, label) -> Hashtbl.find_opt env.roles.fields label.lbl_name
-  | Texp_apply (fn, args) when is_array_get (ident_comps fn) -> (
+  | Texp_apply (fn, args) when is_array_get (Scan.ident_comps fn) -> (
     match pos_args args with a :: _ -> target_role env a | [] -> None)
   | _ -> None
 
@@ -534,7 +480,7 @@ and apply env (f : flow) (e : expression) fn args =
       (fun f (_, a) -> match a with Some a -> eval env f a | None -> f)
       f args
   in
-  let comps = ident_comps fn in
+  let comps = Scan.ident_comps fn in
   let pargs = pos_args args in
   if is_gate comps then { f with gated = true }
   else
@@ -565,7 +511,7 @@ and apply env (f : flow) (e : expression) fn args =
       | _ -> f)
     | [ "Queue"; ("add" | "push") ], _x :: q :: _ -> send env f e q
     | [ "Queue"; "transfer" ], _src :: dst :: _ -> send env f e dst
-    | comps, _ when last2 comps = Some ("Plan", "make") ->
+    | comps, _ when Scan.last2 comps = Some ("Plan", "make") ->
       check_gated env f e.exp_loc "proto/ungated-plan"
         "this Plan.make materialization of a deployable assignment";
       f

@@ -11,13 +11,9 @@ open Typedtree
 module SSet = Set.Make (String)
 module SMap = Map.Make (String)
 
-(* The marker strings are assembled at runtime so this file's own
-   source does not contain them verbatim — otherwise the scanner would
-   classify itself as hot/deterministic-marked and lint its own
-   implementation loops. *)
-let deterministic_marker = "rodlint: " ^ "deterministic"
-let alloc_ok_marker = "rodscan: " ^ "alloc-ok"
-let expect_marker = "rodscan-" ^ "expect:"
+let deterministic_marker = "rodlint: deterministic"
+let alloc_ok_marker = "rodscan: alloc-ok"
+let expect_marker = "rodscan-expect:"
 
 let passes = [ "determinism-taint"; "parallel-race"; "hot-allocation" ]
 
@@ -58,24 +54,6 @@ let rules =
 let sarif_rules =
   Sarif.rules_of_catalogue
     ~help_uri:"DESIGN.md#10-typedtree-analysis-rodscan" rules
-
-(* ---------- small text utilities ---------- *)
-
-let contains_substring haystack needle =
-  let hl = String.length haystack and nl = String.length needle in
-  let rec scan i =
-    i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1))
-  in
-  scan 0
-
-let find_substring line needle =
-  let hl = String.length line and nl = String.length needle in
-  let rec scan i =
-    if i + nl > hl then None
-    else if String.sub line i nl = needle then Some i
-    else scan (i + 1)
-  in
-  scan 0
 
 (* ---------- canonical names ----------
 
@@ -124,42 +102,22 @@ type unit_info = {
   expect : string list;
 }
 
-let parse_expect line =
-  match find_substring line expect_marker with
-  | None -> []
-  | Some i ->
-    let rest =
-      String.sub line
-        (i + String.length expect_marker)
-        (String.length line - i - String.length expect_marker)
-    in
-    let rest =
-      match find_substring rest "*)" with
-      | Some j -> String.sub rest 0 j
-      | None -> rest
-    in
-    String.split_on_char ' ' rest
-    |> List.concat_map (String.split_on_char ',')
-    |> List.filter (fun t -> t <> "")
-
 let unit_of_structure ~modname ~source ~text str =
   let alloc_ok = Hashtbl.create 7 in
-  let expect = ref [] in
   List.iteri
     (fun idx line ->
-      if contains_substring line alloc_ok_marker then
-        Hashtbl.replace alloc_ok (idx + 1) (ref false);
-      expect := !expect @ parse_expect line)
+      if Marker.find line alloc_ok_marker <> None then
+        Hashtbl.replace alloc_ok (idx + 1) (ref false))
     (String.split_on_char '\n' text);
   {
     canon = canon_unit_name modname;
     source = Allowlist.normalize_path source;
     text;
     str;
-    hot = contains_substring text Lint.hot_marker;
-    deterministic = contains_substring text deterministic_marker;
+    hot = Marker.in_text text Lint.hot_marker;
+    deterministic = Marker.in_text text deterministic_marker;
     alloc_ok;
-    expect = !expect;
+    expect = Marker.expect expect_marker text;
   }
 
 let read_file path =

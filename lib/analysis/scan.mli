@@ -1,7 +1,7 @@
 (** [rodscan]: interprocedural static analysis over compiler-libs
-    {e typedtrees} — the [.cmt] files dune produces — proving the
-    properties the parse-tree linter ({!Lint}) can only assert
-    syntactically.  Every identifier in a typedtree carries its fully
+    {e typedtrees} — the [.cmt] files dune produces — proving
+    properties the parse-tree linter ({!Lint}) cannot see; pool races
+    and hot-loop closures are checked here only.  Every identifier in a typedtree carries its fully
     resolved [Path.t], so a [Random.float] three calls deep, or a plain
     [ref] captured by a [Parallel.Pool.parallel_for] closure behind a
     module alias, is visible regardless of spelling.
@@ -157,6 +157,13 @@ val canon_components : string -> string list
 
 val canon_of_path : Path.t -> string list
 (** [canon_components] of [Path.name]. *)
+
+val ident_comps : Typedtree.expression -> string list
+(** [canon_of_path] of an identifier expression; [[]] for any other
+    expression. *)
+
+val last2 : string list -> (string * string) option
+(** The last two components, e.g. [Some ("Pool", "map_reduce")]. *)
 
 val compare_diag : Lint.diag -> Lint.diag -> int
 (** The [(file, line, col, rule, message)] diagnostic order used by

@@ -2,15 +2,14 @@
    facts are seeded from marker comments in interfaces, propagated
    interprocedurally through Scan's def-index (mul/div compose
    dimensions, add/compare require equal ones, literals adapt), and
-   checked at every arithmetic site.  Like Scan and Proto, the marker
-   strings are assembled at runtime so this file's own source never
-   matches them — and the doc comments here spell the marker without
-   its colon for the same reason. *)
+   checked at every arithmetic site.  Markers are read through Marker,
+   so the string literals below are no markers; the comments here
+   spell the marker without its colon, since a comment would count. *)
 
 open Typedtree
 
-let units_marker = "rod" ^ "units:"
-let expect_marker = "rod" ^ "units-expect:"
+let units_marker = "rodunits:"
+let expect_marker = "rodunits-expect:"
 let passes = [ "interface-seeding"; "dimension-propagation" ]
 
 let rules =
@@ -190,57 +189,16 @@ module Abs = struct
     | Conflict -> "conflicting"
 end
 
-(* ---------- text helpers (shared idiom with Proto) ---------- *)
-
-let find_substring line needle =
-  let hl = String.length line and nl = String.length needle in
-  let rec scan i =
-    if i + nl > hl then None
-    else if String.sub line i nl = needle then Some i
-    else scan (i + 1)
-  in
-  scan 0
-
-(* A marker counts only inside a comment: a comment opener must come
-   before it on the same line, so a string literal that merely spells
-   the marker is no marker. *)
-let find_marker line marker =
-  match find_substring line "(*" with
-  | None -> None
-  | Some c ->
-    let from = c + 2 in
-    find_substring (String.sub line from (String.length line - from)) marker
-    |> Option.map (( + ) from)
-
-let rest_after line marker =
-  match find_marker line marker with
-  | None -> None
-  | Some i ->
-    let rest =
-      String.sub line
-        (i + String.length marker)
-        (String.length line - i - String.length marker)
-    in
-    Some
-      (match find_substring rest "*)" with
-      | Some j -> String.sub rest 0 j
-      | None -> rest)
-
 (* Split on a multi-char separator (the spec's arrow). *)
 let split_on_sub sep s =
-  let rec go acc s =
-    match find_substring s sep with
-    | None -> List.rev (s :: acc)
-    | Some i ->
-      let before = String.sub s 0 i in
-      let after =
-        String.sub s
-          (i + String.length sep)
-          (String.length s - i - String.length sep)
-      in
-      go (before :: acc) after
+  let n = String.length sep and len = String.length s in
+  let rec go acc start i =
+    if i + n > len then List.rev (String.sub s start (len - start) :: acc)
+    else if String.sub s i n = sep then
+      go (String.sub s start (i - start) :: acc) (i + n) (i + n)
+    else go acc start (i + 1)
   in
-  go [] s
+  go [] 0 0
 
 (* ---------- interface seeding ---------- *)
 
@@ -315,10 +273,10 @@ let parse_iface ~canon ~file text =
   let markers = Hashtbl.create 16 in
   List.iteri
     (fun idx line ->
-      match find_marker line units_marker with
+      match Marker.find line units_marker with
       | None -> ()
       | Some i ->
-        let rest = Option.get (rest_after line units_marker) in
+        let rest = Option.get (Marker.rest line units_marker) in
         let standalone =
           match String.trim (String.sub line 0 i) with
           | "(*" | "(**" -> true
@@ -453,34 +411,23 @@ let meta_of_unit (u : Scan.unit_info) =
   List.iteri
     (fun idx line ->
       let ln = idx + 1 in
-      match rest_after line units_marker with
+      match Marker.tokens line units_marker with
       | None -> ()
-      | Some rest -> (
-        match
-          String.split_on_char ' ' (String.trim rest)
-          |> List.filter (fun t -> t <> "")
-        with
-        | "ok" :: _ :: _ -> Hashtbl.replace hatches ln { hline = ln; used = false }
-        | [ "ok" ] ->
-          bad := (ln, "an ok-hatch needs a justification after the ok") :: !bad
-        | _ ->
-          bad :=
-            ( ln,
-              "dimension markers belong in the interface (.mli); in \
-               implementations only ok-hatches are recognized" )
-            :: !bad))
+      | Some ("ok" :: _ :: _) ->
+        Hashtbl.replace hatches ln { hline = ln; used = false }
+      | Some [ "ok" ] ->
+        bad := (ln, "an ok-hatch needs a justification after the ok") :: !bad
+      | Some _ ->
+        bad :=
+          ( ln,
+            "dimension markers belong in the interface (.mli); in \
+             implementations only ok-hatches are recognized" )
+          :: !bad)
     (String.split_on_char '\n' u.Scan.text);
   { hatches; bad_lines = List.rev !bad }
 
 let expect_of_unit (u : Scan.unit_info) =
-  String.split_on_char '\n' u.Scan.text
-  |> List.concat_map (fun line ->
-         match rest_after line expect_marker with
-         | None -> []
-         | Some rest ->
-           String.split_on_char ' ' rest
-           |> List.concat_map (String.split_on_char ',')
-           |> List.filter (fun t -> t <> ""))
+  Marker.expect expect_marker u.Scan.text
 
 (* ---------- diagnostics ---------- *)
 
@@ -611,11 +558,6 @@ let report env (loc : Location.t) rule fmt =
 
 let is_arrow ty =
   match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
-
-let ident_comps (e : expression) =
-  match e.exp_desc with
-  | Texp_ident (p, _, _) -> Scan.canon_of_path p
-  | _ -> []
 
 (* Operator classification on canonical components (Stdlib is already
    dropped, so [Stdlib.(+.)] arrives as ["+."]). *)
@@ -764,7 +706,7 @@ and eval_apply env (e : expression) fn args =
       (function Asttypes.Nolabel, Some (_, v) -> Some v | _ -> None)
       evargs
   in
-  let comps = ident_comps fn in
+  let comps = Scan.ident_comps fn in
   match (op_kind comps, pos) with
   | `Add op, [ a; b ] ->
     (match (a, b) with

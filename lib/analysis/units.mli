@@ -51,8 +51,7 @@
     works exactly like its three siblings. *)
 
 val units_marker : string
-(** The marker prefix (tool name + colon), assembled at runtime so this
-    analyzer's own sources never match it. *)
+(** The marker prefix (tool name + colon), read through {!Marker}. *)
 
 val expect_marker : string
 (** Declares a fixture's expected rule ids (used by

@@ -4,12 +4,3 @@
 let sort_keys keys = Array.sort Float.compare keys
 
 let is_origin x = Float.abs x < 1e-12
-
-let square x = x *. x
-
-let sum_squares n =
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. square (float_of_int i)
-  done;
-  !acc

@@ -4,11 +4,3 @@
 let sort_keys keys = Array.sort compare keys
 
 let is_origin x = x = 0.0
-
-let sum_squares n =
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    let square = fun x -> x *. x in
-    acc := !acc +. square (float_of_int i)
-  done;
-  !acc

@@ -185,22 +185,10 @@ let test_lint_determinism () =
     "conforming file: clean" []
     (rules "lint_fixtures/det_conforming.ml")
 
-let test_lint_parallel () =
-  Alcotest.(check (list string))
-    "violating file: every mutation shape"
-    [
-      "parallel/captured-mutation"; "parallel/captured-mutation";
-      "parallel/captured-mutation"; "parallel/captured-mutation";
-    ]
-    (rules "lint_fixtures/par_violating.ml");
-  Alcotest.(check (list string))
-    "conforming file: chunk idiom and local state are fine" []
-    (rules "lint_fixtures/par_conforming.ml")
-
 let test_lint_hot () =
   Alcotest.(check (list string))
     "violating file: every hot rule"
-    [ "hot/poly-compare"; "hot/float-eq"; "hot/closure-in-loop" ]
+    [ "hot/poly-compare"; "hot/float-eq" ]
     (rules "lint_fixtures/hot_violating.ml");
   Alcotest.(check (list string))
     "conforming file: clean" []
@@ -225,7 +213,7 @@ let test_lint_obs_marker_detection () =
     (List.map
        (fun d -> d.Lint.rule)
        (Lint.lint_string ~filename:"m.ml" "let f x = Printf.printf \"%d\" x"));
-  (* ...the marker comment switches the rule on, and ?obs overrides. *)
+  (* ...the marker comment switches the rule on. *)
   Alcotest.(check (list string))
     "marker enables" [ "obs/print-telemetry" ]
     (List.map
@@ -233,11 +221,11 @@ let test_lint_obs_marker_detection () =
        (Lint.lint_string ~filename:"m.ml"
           "(* rodlint: obs *)\nlet f x = Printf.printf \"%d\" x"));
   Alcotest.(check (list string))
-    "explicit override" [ "obs/print-telemetry" ]
+    "marker after code" [ "obs/print-telemetry" ]
     (List.map
        (fun d -> d.Lint.rule)
-       (Lint.lint_string ~obs:true ~filename:"m.ml"
-          "let f () = print_endline \"done\""))
+       (Lint.lint_string ~filename:"m.ml"
+          "let f () = print_endline \"done\" (* rodlint: obs *)"))
 
 let test_lint_positions () =
   match Lint.lint_file "lint_fixtures/det_violating.ml" with
@@ -257,19 +245,20 @@ let test_lint_hot_marker_detection () =
     (List.map
        (fun d -> d.Lint.rule)
        (Lint.lint_string ~filename:"m.ml" "let f k = Array.sort compare k"));
-  (* ...the marker comment switches them on, and ?hot overrides. *)
+  (* ...the marker comment switches them on... *)
   Alcotest.(check (list string))
     "marker enables" [ "hot/poly-compare" ]
     (List.map
        (fun d -> d.Lint.rule)
        (Lint.lint_string ~filename:"m.ml"
           "(* rodlint: hot *)\nlet f k = Array.sort compare k"));
+  (* ...but a string literal that spells the marker does not. *)
   Alcotest.(check (list string))
-    "explicit override" [ "hot/poly-compare" ]
+    "marker in a string literal" []
     (List.map
        (fun d -> d.Lint.rule)
-       (Lint.lint_string ~hot:true ~filename:"m.ml"
-          "let f k = Array.sort compare k"))
+       (Lint.lint_string ~filename:"m.ml"
+          "let m = \"rodlint: hot\"\nlet f xs = Array.sort compare xs"))
 
 let test_lint_parse_error () =
   match Lint.lint_string ~filename:"broken.ml" "let = in =" with
@@ -361,6 +350,72 @@ let test_sarif_multi_run () =
     Alcotest.(check int) "rodunits ruleIds" 2 (count "\"ruleId\"" units)
   | runs -> Alcotest.failf "expected two runs, found %d" (List.length runs)
 
+(* Every result of every SARIF run names a rule in that run's rule
+   table, so a code-scanning UI can link each finding to its rule. *)
+let test_sarif_rule_tables () =
+  let run tool rules diags =
+    {
+      Analysis.Sarif.tool;
+      rules;
+      results =
+        List.map
+          (fun (d : Lint.diag) ->
+            {
+              Analysis.Sarif.rule_id = d.rule;
+              level = "error";
+              message = d.message;
+              file = Some d.file;
+              line = Some d.line;
+              col = Some d.col;
+            })
+          diags;
+    }
+  in
+  let lint =
+    List.concat_map Lint.lint_file
+      [
+        "lint_fixtures/det_violating.ml"; "lint_fixtures/hot_violating.ml";
+        "lint_fixtures/obs_violating.ml";
+      ]
+    @ Lint.lint_string ~filename:"broken.ml" "let = in ="
+  in
+  let proto_units = Test_proto.fixture_units () in
+  let units_units = Test_units.fixture_units () in
+  let plans =
+    [
+      Plan_check.check_graph
+        (Query.Graph_io.load ~path:"fixtures/infeasible.rodgraph")
+        ~caps:(Vec.of_list [ 1.; 1. ]);
+      check [| [| Float.nan; 1. |]; [| 0.; 0. |] |] [ 1.; -1. ];
+      check [| [| -1.; 0. |] |] [ 1. ];
+    ]
+  in
+  let runs =
+    [
+      run "rodlint" Lint.sarif_rules lint;
+      run "rodscan" Analysis.Scan.sarif_rules
+        (fst (Analysis.Scan.scan_units proto_units));
+      run "rodproto" Analysis.Proto.sarif_rules
+        (fst (Analysis.Proto.check_units proto_units));
+      run "rodunits" Analysis.Units.sarif_rules
+        (fst (Analysis.Units.check_units units_units));
+    ]
+    @ List.map (Plan_check.sarif_run ~file:"plan.rodgraph") plans
+  in
+  List.iter
+    (fun (r : Analysis.Sarif.run) ->
+      let ids =
+        List.map (fun (rule : Analysis.Sarif.rule) -> rule.id) r.rules
+      in
+      Alcotest.(check bool) (r.tool ^ ": has results") true (r.results <> []);
+      List.iter
+        (fun (res : Analysis.Sarif.result) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s in the rule table" r.tool res.rule_id)
+            true (List.mem res.rule_id ids))
+        r.results)
+    runs
+
 let suite =
   [
     Alcotest.test_case "clean plan: zero diagnostics" `Quick test_clean_plan;
@@ -378,7 +433,6 @@ let suite =
     Alcotest.test_case "json rendering" `Quick test_json_rendering;
     Alcotest.test_case "deploy gate" `Quick test_deploy_gate;
     Alcotest.test_case "lint: determinism rules" `Quick test_lint_determinism;
-    Alcotest.test_case "lint: parallel-safety rules" `Quick test_lint_parallel;
     Alcotest.test_case "lint: hot-path rules" `Quick test_lint_hot;
     Alcotest.test_case "lint: obs telemetry rule" `Quick test_lint_obs;
     Alcotest.test_case "lint: obs marker detection" `Quick
@@ -390,4 +444,6 @@ let suite =
     Alcotest.test_case "lint: allowlist" `Quick test_allowlist;
     Alcotest.test_case "sarif: one document, many runs" `Quick
       test_sarif_multi_run;
+    Alcotest.test_case "sarif: every ruleId in its run's rule table" `Quick
+      test_sarif_rule_tables;
   ]

@@ -178,5 +178,6 @@ let suite =
       test_correlation_separates_same_input_ops;
     Alcotest.test_case "correlation validates series" `Quick
       test_correlation_rejects_bad_series;
-    QCheck_alcotest.to_alcotest prop_baselines_conserve_columns;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_baselines_conserve_columns;
   ]

@@ -558,7 +558,8 @@ let suite =
       test_frontend_reports_positions;
     Alcotest.test_case "frontend describe" `Quick test_frontend_describe;
     Alcotest.test_case "printer round-trip" `Quick test_printer_roundtrip;
-    QCheck_alcotest.to_alcotest prop_expr_print_parse_roundtrip;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_expr_print_parse_roundtrip;
     Alcotest.test_case "sliding window syntax" `Quick test_sliding_window_syntax;
     Alcotest.test_case "distinct syntax" `Quick test_distinct_syntax;
     Alcotest.test_case "bad slide rejected" `Quick test_bad_slide_rejected;

@@ -293,7 +293,7 @@ let test_drift_survival () =
     (Controller.decisions ctl)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) t)
     [ prop_budget_respected; prop_accepted_never_worse; prop_input_not_mutated ]
   @ [
       Alcotest.test_case "controller log is pool-size independent" `Quick

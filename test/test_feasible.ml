@@ -221,6 +221,8 @@ let suite =
     Alcotest.test_case "std error" `Quick test_std_error;
     Alcotest.test_case "max scale (ray boundary)" `Quick test_max_scale;
     Alcotest.test_case "ratio of points" `Quick test_ratio_of_points;
-    QCheck_alcotest.to_alcotest prop_simplex_points_inside;
-    QCheck_alcotest.to_alcotest prop_lower_bound_shrinks_volume;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_simplex_points_inside;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_lower_bound_shrinks_volume;
   ]

@@ -115,5 +115,6 @@ let suite =
     Alcotest.test_case "comments and blanks" `Quick test_comments_and_blank_lines;
     Alcotest.test_case "malformed inputs rejected" `Quick test_malformed_inputs;
     Alcotest.test_case "assignment round-trip" `Quick test_assignment_roundtrip;
-    QCheck_alcotest.to_alcotest prop_random_graph_roundtrip;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_random_graph_roundtrip;
   ]

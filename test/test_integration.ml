@@ -216,7 +216,8 @@ let prop_analytic_utilization_matches_des =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_analytic_utilization_matches_des;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_analytic_utilization_matches_des;
     Alcotest.test_case "analytic vs simulated feasibility" `Slow
       test_analytic_vs_simulated_feasibility;
     Alcotest.test_case "ROD ratio grows with graph width" `Quick

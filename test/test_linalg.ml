@@ -168,10 +168,14 @@ let suite =
     Alcotest.test_case "matmul" `Quick test_matmul;
     Alcotest.test_case "row/col sums" `Quick test_sums;
     Alcotest.test_case "ragged rejected" `Quick test_ragged_rejected;
-    QCheck_alcotest.to_alcotest prop_dot_commutes;
-    QCheck_alcotest.to_alcotest prop_triangle_inequality;
-    QCheck_alcotest.to_alcotest prop_col_sums_additive;
-    QCheck_alcotest.to_alcotest prop_matmul_associative;
-    QCheck_alcotest.to_alcotest prop_transpose_involution;
-    QCheck_alcotest.to_alcotest prop_matvec_matches_matmul;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) prop_dot_commutes;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_triangle_inequality;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) prop_col_sums_additive;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_matmul_associative;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_transpose_involution;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_matvec_matches_matmul;
   ]

@@ -327,7 +327,7 @@ let suite =
     Alcotest.test_case "cached table: samples 512/256/512 = fresh" `Quick
       test_cache_alternating_samples;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
+  @ List.map (fun t -> QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) t)
       [
         prop_gain_matches_move;
         prop_swap_gain_matches_moves;

@@ -290,7 +290,7 @@ let suite =
     Alcotest.test_case "double-run determinism" `Quick
       test_double_run_determinism;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
+  @ List.map (fun t -> QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) t)
       [
         prop_counter_monotone; prop_gauge_last_write;
         prop_histogram_conservation; prop_merge_commutative;

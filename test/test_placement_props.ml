@@ -180,7 +180,7 @@ let prop_volume_scales_as_s_pow_d =
          +. 1e-12)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) t)
     [
       prop_class_one_weights;
       prop_relabel_equivariant;

@@ -146,7 +146,14 @@ let test_relevant () =
   Alcotest.(check bool) "protocol fixture is relevant" true
     (Proto.relevant conforming);
   let plain = Scan.unit_of_source ~filename:"plain.ml" "let x = 1\n" in
-  Alcotest.(check bool) "unmarked unit is not" false (Proto.relevant plain)
+  Alcotest.(check bool) "unmarked unit is not" false (Proto.relevant plain);
+  (* A string literal that spells the marker is no marker. *)
+  let quoted =
+    Scan.unit_of_source ~filename:"quoted.ml"
+      (Printf.sprintf "let banner = \"%s\"\n" Proto.protocol_marker)
+  in
+  Alcotest.(check bool) "marker in a string literal is not" false
+    (Proto.relevant quoted)
 
 (* --- cross-unit hatch resolution ----------------------------------- *)
 
@@ -221,7 +228,7 @@ let test_allowlist_prune () =
     "# header comment\nlib/a.ml det # still needed\n\n" (Allowlist.prune allowlist text)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) t)
     [
       prop_join_commutative;
       prop_join_associative;

@@ -322,11 +322,15 @@ let suite =
       test_partition_rejects_bad_targets;
     Alcotest.test_case "split_all improves balance" `Quick
       test_split_all_improves_balance;
-    QCheck_alcotest.to_alcotest prop_partition_preserves_model;
-    QCheck_alcotest.to_alcotest prop_randgraph_shape;
-    QCheck_alcotest.to_alcotest prop_randgraph_costs_in_range;
-    QCheck_alcotest.to_alcotest prop_randgraph_half_unit_selectivity;
-    QCheck_alcotest.to_alcotest prop_load_columns_positive;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_partition_preserves_model;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) prop_randgraph_shape;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_randgraph_costs_in_range;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_randgraph_half_unit_selectivity;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_load_columns_positive;
     Alcotest.test_case "op rejects non-finite values" `Quick
       test_op_rejects_non_finite;
   ]

@@ -720,8 +720,12 @@ let suite =
     Alcotest.test_case "effective loads add comm" `Quick test_effective_loads_add_comm;
     Alcotest.test_case "select_best clusters heavy comm" `Quick
       test_select_best_prefers_clustering_under_heavy_comm;
-    QCheck_alcotest.to_alcotest prop_no_plan_beats_ideal;
-    QCheck_alcotest.to_alcotest prop_column_conservation;
-    QCheck_alcotest.to_alcotest prop_mmad_bound_sandwiches_ratio;
-    QCheck_alcotest.to_alcotest prop_rod_close_to_optimal;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_no_plan_beats_ideal;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_column_conservation;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_mmad_bound_sandwiches_ratio;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_rod_close_to_optimal;
   ]

@@ -195,6 +195,9 @@ let test_det_unmarked () =
 let fake_pool =
   "module Pool = struct\n\
   \  let parallel_for pool ~n f = ignore pool; f 0 n\n\
+  \  let map_reduce pool ~n ~map ~combine ~init =\n\
+  \    ignore pool; combine init (map 0 n)\n\
+  \  let map_chunks_i pool ~n f = ignore pool; [| f 0 0 n |]\n\
    end\n"
 
 let test_race_captured_ref () =
@@ -223,6 +226,60 @@ let test_race_conforming () =
   in
   Alcotest.(check (list string)) "indexed writes and Atomic allowed" []
     (rules_of diags)
+
+(* Each mutation shape through each closure-taking entry point, and
+   the sanctioned idioms beside them. *)
+let test_race_shapes () =
+  List.iter
+    (fun (name, body, expected) ->
+      let diags, _ = scan_source (fake_pool ^ body) in
+      Alcotest.(check (list string)) name expected (rules_of diags))
+    [
+      ( "incr in parallel_for",
+        "let f pool n =\n\
+        \  let hits = ref 0 in\n\
+        \  Pool.parallel_for pool ~n (fun lo hi ->\n\
+        \      for _ = lo to hi - 1 do incr hits done);\n\
+        \  !hits\n",
+        [ "race/captured-ref" ] );
+      ( "incr in map_reduce ~map",
+        "let f pool n =\n\
+        \  let calls = ref 0 in\n\
+        \  Pool.map_reduce pool ~n\n\
+        \    ~map:(fun lo hi -> incr calls; hi - lo) ~combine:( + ) ~init:0\n",
+        [ "race/captured-ref" ] );
+      ( "incr in map_chunks_i",
+        "let f pool n =\n\
+        \  let seen = ref 0 in\n\
+        \  Pool.map_chunks_i pool ~n (fun _ lo hi -> incr seen; hi - lo)\n",
+        [ "race/captured-ref" ] );
+      ( "chunk-independent array write",
+        "let f pool out n =\n\
+        \  Pool.parallel_for pool ~n (fun _ _ -> out.(0) <- 1.0)\n",
+        [ "race/captured-array" ] );
+      ( "captured field write",
+        "type cell = { mutable value : float }\n\
+         let f pool acc n =\n\
+        \  Pool.parallel_for pool ~n (fun _ _ -> acc.value <- 1.0)\n",
+        [ "race/captured-field" ] );
+      ( "per-chunk accumulator folded by map_reduce",
+        "let f pool data n =\n\
+        \  Pool.map_reduce pool ~n\n\
+        \    ~map:(fun lo hi ->\n\
+        \      let acc = ref 0. in\n\
+        \      for s = lo to hi - 1 do acc := !acc +. data.(s) done;\n\
+        \      !acc)\n\
+        \    ~combine:( +. ) ~init:0.\n",
+        [] );
+      ( "closure-local scratch",
+        "let f pool n =\n\
+        \  Pool.parallel_for pool ~n (fun lo hi ->\n\
+        \      let scratch = Array.make 4 0. in\n\
+        \      for s = lo to hi - 1 do\n\
+        \        scratch.(s mod 4) <- float_of_int s\n\
+        \      done)\n",
+        [] );
+    ]
 
 let test_alloc_literal () =
   let diags, _ =
@@ -317,8 +374,30 @@ let test_sarif () =
       "a \\\"quoted\\\" message";
     ]
 
+(* A string literal that spells a marker is code, not a marker: only a
+   marker after a comment opener on its line counts. *)
+let test_marker_in_string () =
+  let quoted = Printf.sprintf "let %s = \"%s x\"\n" in
+  let u =
+    Scan.unit_of_source ~filename:"strings.ml"
+      (quoted "d" Scan.deterministic_marker
+      ^ quoted "h" Lint.hot_marker
+      ^ quoted "a" Scan.alloc_ok_marker
+      ^ quoted "e" Scan.expect_marker)
+  in
+  Alcotest.(check bool) "not deterministic" false u.Scan.deterministic;
+  Alcotest.(check bool) "not hot" false u.Scan.hot;
+  Alcotest.(check int) "no hatch" 0 (Hashtbl.length u.Scan.alloc_ok);
+  Alcotest.(check (list string)) "no expectation" [] u.Scan.expect;
+  let u =
+    Scan.unit_of_source ~filename:"comments.ml"
+      (det_marker ^ "\nlet x = 1 " ^ hatch "why" ^ "\n")
+  in
+  Alcotest.(check bool) "comment marker counts" true u.Scan.deterministic;
+  Alcotest.(check int) "comment hatch counts" 1 (Hashtbl.length u.Scan.alloc_ok)
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) t)
     [
       prop_join_commutative;
       prop_join_idempotent;
@@ -337,6 +416,8 @@ let suite =
       Alcotest.test_case "det: unmarked module ignored" `Quick test_det_unmarked;
       Alcotest.test_case "race: captured ref" `Quick test_race_captured_ref;
       Alcotest.test_case "race: chunk-local conforms" `Quick test_race_conforming;
+      Alcotest.test_case "race: every captured-state shape" `Quick
+        test_race_shapes;
       Alcotest.test_case "alloc: literal in hot loop" `Quick test_alloc_literal;
       Alcotest.test_case "alloc: hatch suppresses and is counted" `Quick
         test_alloc_hatch;
@@ -345,4 +426,6 @@ let suite =
       Alcotest.test_case "alloc: cold module ignored" `Quick
         test_alloc_cold_module;
       Alcotest.test_case "sarif shape" `Quick test_sarif;
+      Alcotest.test_case "markers: string literal is no marker" `Quick
+        test_marker_in_string;
     ]

@@ -414,7 +414,8 @@ let suite =
     Alcotest.test_case "event queue ordering" `Quick test_event_queue_ordering;
     Alcotest.test_case "event queue stress" `Quick test_event_queue_many;
     Alcotest.test_case "event queue empty" `Quick test_event_queue_empty;
-    QCheck_alcotest.to_alcotest prop_event_queue_stable_order;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_event_queue_stable_order;
     Alcotest.test_case "single-op utilization" `Quick test_single_op_utilization;
     Alcotest.test_case "capacity scales service" `Quick test_capacity_scales_service;
     Alcotest.test_case "selectivity thins output" `Quick test_selectivity_thins_output;
@@ -431,5 +432,6 @@ let suite =
     Alcotest.test_case "simulate traces" `Quick test_simulate_traces;
     Alcotest.test_case "bad arrival times rejected" `Quick test_rejects_bad_arrival_times;
     Alcotest.test_case "bad timing values rejected" `Quick test_rejects_bad_timing;
-    QCheck_alcotest.to_alcotest prop_conservation_single_op;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_conservation_single_op;
   ]

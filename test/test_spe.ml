@@ -746,10 +746,14 @@ let prop_union_preserves_count =
 let suite =
   [
     Alcotest.test_case "value conversions" `Quick test_value_conversions;
-    QCheck_alcotest.to_alcotest prop_filter_matches_list_filter;
-    QCheck_alcotest.to_alcotest prop_aggregate_count_partitions_input;
-    QCheck_alcotest.to_alcotest prop_join_counts_match_bruteforce;
-    QCheck_alcotest.to_alcotest prop_union_preserves_count;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_filter_matches_list_filter;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_aggregate_count_partitions_input;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_join_counts_match_bruteforce;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_union_preserves_count;
     Alcotest.test_case "tuple operations" `Quick test_tuple_operations;
     Alcotest.test_case "tuple merge" `Quick test_tuple_merge;
     Alcotest.test_case "filter and counts" `Quick test_filter_and_counts;

@@ -410,7 +410,7 @@ let test_allowlist_split_and_prune () =
     (Allowlist.prune t text)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) t)
     [
       prop_dim_mul_commutative;
       prop_dim_mul_associative;

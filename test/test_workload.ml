@@ -257,6 +257,7 @@ let suite =
     Alcotest.test_case "sinusoid and flash crowd" `Quick
       test_sinusoid_and_flash_crowd;
     Alcotest.test_case "arrival generation" `Quick test_arrival_generation;
-    QCheck_alcotest.to_alcotest prop_bmodel_conserves;
-    QCheck_alcotest.to_alcotest prop_coarsen_preserves_mean;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ()) prop_bmodel_conserves;
+    QCheck_alcotest.to_alcotest ~rand:(Test_rand.get ())
+      prop_coarsen_preserves_mean;
   ]

@@ -71,7 +71,7 @@ let lint =
   {
     name = "lint";
     tool = "rodlint";
-    rules = [];
+    rules = A.Lint.sarif_rules;
     run =
       (fun ~roots _ ->
         let files = files_under ~suffix:".ml" roots in
@@ -257,8 +257,9 @@ let run_fixtures passes dir =
   let failures = ref 0 and checked = ref 0 in
   List.iter
     (fun (u : A.Scan.unit_info) ->
-      (* Skip dune's generated wrapper module (no source on disk). *)
-      if Sys.file_exists u.source then begin
+      (* Only .ml sources are fixtures: dune's generated wrapper module
+         has an .ml-gen source. *)
+      if Filename.check_suffix u.source ".ml" then begin
         incr checked;
         let expected = SSet.of_list (List.concat_map (fun f -> f u) expects) in
         let got =
